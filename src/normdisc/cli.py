@@ -128,7 +128,13 @@ def parse_config(pairs: list[str]) -> dict:
         if key not in EXPERIMENT_KEYS:
             raise ConfigError(f"unknown config key {key!r} (known: {', '.join(sorted(EXPERIMENT_KEYS))})")
         cfg[key] = EXPERIMENT_KEYS[key](val)
+    check_m(cfg["m"])
     return cfg
+
+
+def check_m(m: int) -> None:
+    if m < 1:
+        raise ConfigError(f"m must be a positive integer, got {m}")
 
 
 def config_sha(cfg: dict) -> str:
@@ -147,6 +153,7 @@ def cmd_freqset(args) -> int:
 
 
 def cmd_discretize(args) -> int:
+    check_m(args.m)
     Q = parse_space(args.space)
     system = real_trig_system(Q, oversample=args.oversample)
     ps = build_pointset(system, args.method, args.m, args.seed, args.bss_d)

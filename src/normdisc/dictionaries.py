@@ -19,7 +19,7 @@ The main families:
 * :func:`scaled_kernel_dict`      kernel translates scaled by 1/sqrt(K2 N),
   so that <h, atom> = h(y)/sqrt(K2 N),
 * :func:`scaled_basis_dict`       signed basis elements ±u_i/sqrt(K2),
-* :func:`union_dict`, :func:`symmetrize` combinators.
+* :func:`symmetrize`              appends the negated copy of every atom.
 
 All atoms have L2 norm at most one; selection helpers break ties toward the
 lowest atom index so runs are reproducible.
@@ -252,65 +252,9 @@ def scaled_basis_dict(system: OrthonormalSystem, signed: bool = True) -> Diction
     return Dictionary(kind="scaled-basis-signed", field="real", atoms=atoms, labels=labels, meta={"scale": scale})
 
 
-def union_dict(*dicts: Dictionary, kind: str | None = None) -> Dictionary:
-    if not dicts:
-        raise ValueError("need at least one dictionary")
-    dims = {d.ambient_dim for d in dicts}
-    if len(dims) != 1:
-        raise ValueError("dictionaries live in different ambient spaces")
-    fld = "complex" if any(d.field == "complex" for d in dicts) else "real"
-    atoms = np.concatenate([d.atoms.astype(complex if fld == "complex" else float) for d in dicts], axis=1)
-    labels = tuple((d.kind, lab) for d in dicts for lab in (d.labels or range(d.n_atoms)))
-    return Dictionary(kind=kind or "+".join(d.kind for d in dicts), field=fld, atoms=atoms, labels=labels)
-
-
 def symmetrize(d: Dictionary) -> Dictionary:
     """Append the negated copy of every atom (for signed relaxed greedy)."""
     atoms = np.concatenate([d.atoms, -d.atoms], axis=1)
     labels = tuple(d.labels) + tuple(("neg", lab) for lab in d.labels)
     shifts = None if d.shifts is None else np.concatenate([d.shifts, d.shifts], axis=0)
     return Dictionary(kind=d.kind + "-signed", field=d.field, atoms=atoms, labels=labels, shifts=shifts, meta=dict(d.meta))
-
-
-# ---------------------------------------------------------------------------
-# rank-one matrix dictionary (used by the Frobenius relaxed greedy solver)
-
-
-@dataclass
-class MatrixShiftDictionary:
-    """Candidate rank-one atoms G(x)/(N t^2), G(x) = u(x) u(x)^T.
-
-    Stored implicitly through the value table ``values[j] = u(x_j)``; the
-    identity <G(x), G(y)>_F = D_N(x, y)^2 keeps all score updates in terms
-    of kernel evaluations.
-    """
-
-    system: OrthonormalSystem
-    points: np.ndarray
-    values: np.ndarray  # (m_candidates, N)
-    t: float
-
-    @classmethod
-    def from_candidates(cls, system: OrthonormalSystem, points: np.ndarray | None = None) -> "MatrixShiftDictionary":
-        if system.constants.t is None:
-            raise MissingConstant("matrix atoms need the christoffel cap t")
-        if points is None:
-            points = system.quadrature.nodes
-        points = np.asarray(points, dtype=float)
-        return cls(system=system, points=points, values=system.evaluate(points), t=system.constants.t)
-
-    @property
-    def frob_scale(self) -> float:
-        # atoms are G(x)/frob_scale
-        return self.system.size * self.t**2
-
-    @property
-    def n_atoms(self) -> int:
-        return self.points.shape[0]
-
-    def christoffel(self) -> np.ndarray:
-        return (self.values * self.values).sum(axis=1)
-
-    def kernel_with(self, idx: int) -> np.ndarray:
-        """D_N(x_idx, x_j) for all candidates j."""
-        return self.values @ self.values[idx]

@@ -67,15 +67,6 @@ class GreedyRun:
             return 0
         return int((self.residual_norms[1 : self.m + 1] > self.bounds[: self.m] + slack).sum())
 
-    def csv_rows(self):
-        for j in range(self.m):
-            yield {
-                "step": j + 1,
-                "residual": float(self.residual_norms[j + 1]),
-                "bound": float("nan") if self.bounds is None else float(self.bounds[j]),
-                "selected": self.selected[j],
-            }
-
 
 def oga_bound(mass: float, m: int, weakness: float = 1.0) -> float:
     return mass / math.sqrt(1.0 + m * weakness**2)

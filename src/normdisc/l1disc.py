@@ -21,9 +21,10 @@ quadrature; certificates record ratios relative to that reference rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .entropy import EntropyCurve, conditional_entropy_curve, entropy_curve_trig
 from .spaces import (
@@ -32,7 +33,6 @@ from .spaces import (
     PointSet,
     Quadrature,
     TrigPolynomial,
-    build_hyperbolic_cross,
     norm_values_lp,
     poly_norm,
 )
@@ -51,18 +51,6 @@ def discrepancy(f: TrigPolynomial, pointset: PointSet, q: float, quad: Quadratur
     w = pointset.effective_weights()
     emp = float(w @ np.abs(f.evaluate(pointset.points)) ** q)
     return emp - poly_norm(f, q, quad) ** q
-
-
-@dataclass
-class DiscrepancyFunctional:
-    """Reusable discrepancy evaluator with a fixed point set and exponent."""
-
-    pointset: PointSet
-    q: float
-    quadrature: Quadrature
-
-    def __call__(self, f: TrigPolynomial) -> float:
-        return discrepancy(f, self.pointset, self.q, self.quadrature)
 
 
 # ---------------------------------------------------------------------------
@@ -257,32 +245,21 @@ class L1Certificate:
     meta: dict = field(default_factory=dict)
 
 
-def _ratio_batch(C: np.ndarray, point_values: np.ndarray, quad_values: np.ndarray, quad_w: np.ndarray, point_w: np.ndarray) -> np.ndarray:
-    """Empirical/true L1 ratio for a batch of coefficient rows."""
+def _ratio_batch(C: np.ndarray, point_values: np.ndarray, quad_values: np.ndarray, quad_w: np.ndarray, point_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical/true L1 ratio for a batch of coefficient rows, and the true L1 norms."""
     emp = np.abs(C @ point_values) @ point_w
     tru = np.abs(C @ quad_values) @ quad_w
-    return emp / np.maximum(tru, 1e-300)
+    return emp / np.maximum(tru, 1e-300), tru
 
 
 def _deep_holes(points: np.ndarray, dim: int, count: int, resolution: int = 4096) -> np.ndarray:
-    """Torus points far (in l-infinity) from every input point."""
-    if dim == 1:
-        grid = TWO_PI * np.arange(resolution) / resolution
-        d = np.abs(grid[:, None] - points[:, 0][None, :])
-        d = np.minimum(d, TWO_PI - d)
-        score = d.min(axis=1)
-    else:
-        per_axis = max(8, int(round(resolution ** (1.0 / dim))))
-        axes = [TWO_PI * np.arange(per_axis) / per_axis] * dim
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-        d = np.abs(mesh[:, None, :] - points[None, :, :])
-        d = np.minimum(d, TWO_PI - d).max(axis=2)
-        score = d.min(axis=1)
-        grid = mesh
+    """Mesh points of the torus farthest (in periodic l-infinity) from every input point."""
+    per_axis = max(8, int(round(resolution ** (1.0 / dim))))
+    axes = [TWO_PI * np.arange(per_axis) / per_axis] * dim
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    score, _ = cKDTree(points, boxsize=TWO_PI).query(mesh, p=np.inf)
     order = np.argsort(score)[::-1][:count]
-    if dim == 1:
-        return grid[order].reshape(-1, 1)
-    return grid[order]
+    return mesh[order]
 
 
 def _deterministic_candidates(Q: FrequencySet, pointset: PointSet, effort: FalsifierEffort) -> np.ndarray:
@@ -327,7 +304,7 @@ def _optimize_ratio(C0: np.ndarray, point_values: np.ndarray, quad_values: np.nd
     C = C0.copy()
     nq = C.shape[1]
     step = effort.step_init
-    obj = sign * _ratio_batch(C, point_values, quad_values, quad_w, point_w)
+    obj = sign * _ratio_batch(C, point_values, quad_values, quad_w, point_w)[0]
     for it in range(effort.iters):
         coord = it % nq
         delta = step if (it // nq) % 2 == 0 else step * 1j
@@ -335,10 +312,9 @@ def _optimize_ratio(C0: np.ndarray, point_values: np.ndarray, quad_values: np.nd
             C_try = C.copy()
             C_try[:, coord] += direction
             C_try /= np.maximum(np.linalg.norm(C_try, axis=1)[:, None], 1e-300)
-            tru = np.abs(C_try @ quad_values) @ quad_w
-            bad = tru < min_l1
-            cand = sign * _ratio_batch(C_try, point_values, quad_values, quad_w, point_w)
-            cand[bad] = np.inf
+            ratio, tru = _ratio_batch(C_try, point_values, quad_values, quad_w, point_w)
+            cand = sign * ratio
+            cand[tru < min_l1] = np.inf
             better = cand < obj
             C[better] = C_try[better]
             obj[better] = cand[better]
@@ -349,7 +325,7 @@ def _optimize_ratio(C0: np.ndarray, point_values: np.ndarray, quad_values: np.nd
                 fresh = rng.standard_normal(C.shape) + 1j * rng.standard_normal(C.shape)
                 worst = np.argsort(obj)[-max(1, len(obj) // 10) :]
                 C[worst] = fresh[worst] / np.linalg.norm(fresh[worst], axis=1)[:, None]
-                obj[worst] = sign * _ratio_batch(C[worst], point_values, quad_values, quad_w, point_w)
+                obj[worst] = sign * _ratio_batch(C[worst], point_values, quad_values, quad_w, point_w)[0]
     return C
 
 
@@ -392,9 +368,8 @@ def certify_l1(pointset: PointSet, Q: FrequencySet, targets: tuple[float, float]
     C_max = _optimize_ratio(C_rand[half:], point_values, quad_values, quad.weights, w_sub, effort, -1.0, rng, min_l1)
 
     all_C = np.concatenate([det, C_min, C_max], axis=0)
-    ratios = _ratio_batch(all_C, point_values_full, quad_values, quad.weights, w_full)
+    ratios, tru = _ratio_batch(all_C, point_values_full, quad_values, quad.weights, w_full)
     # rows that collapsed to zero true norm are meaningless
-    tru = np.abs(all_C @ quad_values) @ quad.weights
     ratios[tru < 1e-12] = 1.0
     i_min = int(np.argmin(ratios))
     i_max = int(np.argmax(ratios))

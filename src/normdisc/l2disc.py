@@ -43,7 +43,6 @@ class SpectralCertificate:
     lam_max: float
     n_points: int
     frobenius_residual: float
-    method: str
     meta: dict = field(default_factory=dict)
 
     @property
@@ -56,41 +55,6 @@ class SpectralCertificate:
         return self.lam_max / self.lam_min if self.lam_min > 0 else math.inf
 
 
-EIGH_CUTOFF = 512
-
-
-def extremal_eigenvalues(M: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000) -> tuple[float, float, str]:
-    """(lam_min, lam_max) of a symmetric PSD matrix.
-
-    Full decomposition up to dimension 512; beyond that, power iteration for
-    lam_max and again on ``lam_max I - M`` for lam_min.
-    """
-    n = M.shape[0]
-    if n <= EIGH_CUTOFF:
-        vals = np.linalg.eigvalsh(M)
-        return float(vals[0]), float(vals[-1]), "eigh"
-
-    def power(A):
-        v = np.ones(n) + 1e-3 * np.arange(n) / n
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(max_iter):
-            w = A @ v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0
-            v = w / nw
-            new = float(v @ (A @ v))
-            if abs(new - lam) <= tol * max(1.0, abs(new)):
-                return new
-            lam = new
-        return lam
-
-    lam_max = power(M)
-    lam_min = lam_max - power(lam_max * np.eye(n) - M)
-    return float(lam_min), float(lam_max), "power"
-
-
 def discretization_matrix(system: OrthonormalSystem, pointset: PointSet) -> np.ndarray:
     U = system.evaluate(pointset.points)
     w = pointset.effective_weights()
@@ -99,14 +63,13 @@ def discretization_matrix(system: OrthonormalSystem, pointset: PointSet) -> np.n
 
 def l2_certificate(system: OrthonormalSystem, pointset: PointSet) -> SpectralCertificate:
     M = discretization_matrix(system, pointset)
-    lo, hi, method = extremal_eigenvalues(M)
+    vals = np.linalg.eigvalsh(M)
     frob = float(np.linalg.norm(M - np.eye(system.size)))
     return SpectralCertificate(
-        lam_min=lo,
-        lam_max=hi,
+        lam_min=float(vals[0]),
+        lam_max=float(vals[-1]),
         n_points=pointset.m,
         frobenius_residual=frob,
-        method=method,
     )
 
 
@@ -155,7 +118,7 @@ def random_l2_pointset(system: OrthonormalSystem, m: int, seed: int = 0, retries
 
 
 # ---------------------------------------------------------------------------
-# greedy point selection through the rank-one matrix dictionary
+# greedy point selection over the rank-one atoms G(x) = u(x) u(x)^T
 
 
 @dataclass
@@ -188,8 +151,10 @@ def frobenius_rga_pointset(system: OrthonormalSystem, m: int, candidates: np.nda
         raise MissingConstant("greedy point selection needs the christoffel cap t")
     if candidates is None:
         candidates = system.quadrature.nodes
-    candidates = np.asarray(candidates, dtype=float)
-    U = system.evaluate(candidates)
+        U = system.quad_values
+    else:
+        candidates = np.asarray(candidates, dtype=float)
+        U = system.evaluate(candidates)
     w = (U * U).sum(axis=1)
     n = system.size
     t = system.constants.t
@@ -260,7 +225,7 @@ def _barrier_quadratic_forms(A: np.ndarray, V: np.ndarray, upper: float, lower: 
     return q1u, q2u, q1l, q2l, phi_u, phi_l, float(lam[0]), float(lam[-1])
 
 
-def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates: np.ndarray | None = None, check_invariants: bool = True) -> BssResult:
+def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates: np.ndarray | None = None) -> BssResult:
     """Deterministic weighted point selection with spectral-ratio guarantee.
 
     Works on candidate vectors v_j = u(x_j)/sqrt(M) that resolve the
@@ -283,12 +248,15 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
         weights = system.quadrature.weights
         if not np.allclose(weights, weights[0]):
             raise ValueError("candidate quadrature must have equal weights")
-    candidates = np.asarray(candidates, dtype=float)
+        U = system.quad_values
+    else:
+        candidates = np.asarray(candidates, dtype=float)
+        U = system.evaluate(candidates)
     M_cand = candidates.shape[0]
     n = system.size
     if M_cand < n:
         raise ValueError("need at least N candidate points")
-    V = system.evaluate(candidates) / math.sqrt(M_cand)
+    V = U / math.sqrt(M_cand)
     G = V.T @ V
     if np.abs(G - np.eye(n)).max() > 1e-8:
         raise ValueError("candidates do not resolve the identity")
@@ -318,6 +286,7 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
     upper = n * (d_param + rd) / (rd - 1.0)
 
     A = np.zeros((n, n))
+    lamA = np.linalg.eigvalsh(A)  # carried over: each step decomposes A once
     acc_weights: dict[int, float] = {}
     # initial potentials: exactly eps_u and eps_l by the choice of l0, u0
     phi_u_prev = eps_u
@@ -326,9 +295,8 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
         upper_next = upper + delta_u
         lower_next = lower + delta_l
         q1u, q2u, q1l, q2l, phi_u, phi_l, lmin, lmax = _barrier_quadratic_forms(A, V, upper_next, lower_next)
-        if check_invariants and not (lmin > lower_next and lmax < upper_next):
+        if not (lmin > lower_next and lmax < upper_next):
             raise RuntimeError("barrier invariant violated: eigenvalue escaped the window")
-        lamA = np.linalg.eigvalsh(A)
         phi_u_cur = float((1.0 / (upper - lamA)).sum())
         phi_l_cur = float((1.0 / (lamA - lower)).sum())
         denom_u = phi_u_cur - phi_u  # potential drop from shifting the upper barrier
@@ -339,7 +307,7 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
         Lv = q2l / denom_l - q1l
         gap = Lv - Uv
         j = int(np.argmax(gap))
-        if check_invariants and gap[j] < -1e-7:
+        if gap[j] < -1e-7:
             raise RuntimeError(f"step {step}: no feasible candidate (best gap {gap[j]:.3e})")
         w_j = 2.0 / (Uv[j] + Lv[j])
         A = A + w_j * np.outer(V[j], V[j])
@@ -348,17 +316,15 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
         lamA = np.linalg.eigvalsh(A)
         phi_u_new = float((1.0 / (upper - lamA)).sum())
         phi_l_new = float((1.0 / (lamA - lower)).sum())
-        if check_invariants and (phi_u_new > phi_u_prev + 1e-7 or phi_l_new > phi_l_prev + 1e-7):
+        if phi_u_new > phi_u_prev + 1e-7 or phi_l_new > phi_l_prev + 1e-7:
             raise RuntimeError("barrier potentials increased")
         phi_u_prev, phi_l_prev = phi_u_new, phi_l_new
 
-    lamA = np.linalg.eigvalsh(A)
     lam_min, lam_max = float(lamA[0]), float(lamA[-1])
-    if check_invariants:
-        if not (lower < lam_min and lam_max < upper):
-            raise RuntimeError("final eigenvalues escaped the barrier window")
-        if lam_max / lam_min > bound + 1e-7:
-            raise RuntimeError("final ratio exceeds the guarantee")
+    if not (lower < lam_min and lam_max < upper):
+        raise RuntimeError("final eigenvalues escaped the barrier window")
+    if lam_max / lam_min > bound + 1e-7:
+        raise RuntimeError("final ratio exceeds the guarantee")
     idx = sorted(acc_weights)
     # discretization weights: sum_j lam_j f(x_j)^2 >= ||f||^2 with constant one
     lam_w = np.array([acc_weights[j] for j in idx]) / (M_cand * lam_min)
@@ -387,13 +353,13 @@ def rank_one_spectrum(system: OrthonormalSystem, x) -> np.ndarray:
 
 
 def quadrature_second_moment(system: OrthonormalSystem) -> np.ndarray:
-    """E_quad[(G(x) - I)^2]; equals (N - 1) I under condition D."""
+    """E_quad[(G(x) - I)^2]; equals (N - 1) I under condition D.
+
+    Since G(x)^2 = w(x) G(x), the moment is
+    sum_nu omega_nu (w(x_nu) - 2) G(x_nu) + (sum_nu omega_nu) I, with the
+    christoffel values w(x_nu) computed from the table rather than assumed.
+    """
     U = system.quad_values
-    w = system.quadrature.weights
-    n = system.size
-    acc = np.zeros((n, n))
-    for row, om in zip(U, w):
-        G = np.outer(row, row)
-        D = G - np.eye(n)
-        acc += om * (D @ D)
-    return acc
+    om = system.quadrature.weights
+    w = (U * U).sum(axis=1)
+    return (U * (om * (w - 2.0))[:, None]).T @ U + om.sum() * np.eye(system.size)

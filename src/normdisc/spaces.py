@@ -217,7 +217,9 @@ class PointSet:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2:
             raise ValueError("points must be an (m, d) array")
-        self.points = np.mod(pts, TWO_PI)
+        pts = np.mod(pts, TWO_PI)
+        pts[pts == TWO_PI] = 0.0  # mod rounds tiny negatives up to 2*pi
+        self.points = pts
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float).reshape(-1)
             if w.shape[0] != self.points.shape[0]:
@@ -390,21 +392,8 @@ class TrigPolynomial:
     __rmul__ = __mul__
 
 
-def dirichlet_kernel(Q: FrequencySet, x):
-    """D_Q(x) = sum_{k in Q} exp(i <k, x>); D_Q(0) = |Q|."""
-    pts = as_points(x, Q.dim)
-    vals = np.exp(1j * (pts @ Q.array.T)).sum(axis=1)
-    if np.ndim(x) == 0 or (np.ndim(x) == 1 and Q.dim > 1):
-        return vals[0]
-    return vals
-
-
-def normalized_dirichlet(Q: FrequencySet, x):
-    """w_Q = |Q|^(-1/2) D_Q, the L2-normalized Dirichlet kernel."""
-    return dirichlet_kernel(Q, x) / math.sqrt(len(Q))
-
-
 def dirichlet_poly(Q: FrequencySet) -> TrigPolynomial:
+    """D_Q = sum_{k in Q} exp(i <k, .>); D_Q(0) = |Q|."""
     return TrigPolynomial(Q, np.ones(len(Q), dtype=complex))
 
 
@@ -641,7 +630,8 @@ class OrthonormalSystem:
             g = self.gram()
             if np.abs(g - np.eye(self.size)).max() > 1e-8:
                 raise ValueError(f"{self.name}: quadrature Gram is not the identity")
-            w = self.christoffel(self.quadrature.nodes)
+            u = self.quad_values
+            w = (u * u).sum(axis=1)
             if self.condition_d and np.abs(w - self.size).max() > 1e-8:
                 raise ValueError(f"{self.name}: christoffel function is not constant N")
             if self.condition_e:

@@ -60,6 +60,18 @@ def test_bad_space_spec(capsys):
     assert main(["freqset", "--space", "box:abc"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["discretize", "--space", "cross:2:1", "--m", "0"],
+    ["discretize", "--space", "cross:2:1", "--m", "-3"],
+    ["experiment", "--config", "m=0"],
+    ["experiment", "--config", "m=-3"],
+])
+def test_nonpositive_m_is_a_usage_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_config_key(capsys):
     assert main(["experiment", "--config", "bogus=1"]) == EXIT_USAGE
     assert main(["experiment", "--config", "no_equals_sign"]) == EXIT_USAGE

@@ -5,7 +5,6 @@ import pytest
 
 from normdisc.dictionaries import (
     DeltaNet,
-    MatrixShiftDictionary,
     argmax_inner_product,
     choose_delta0,
     exponential_dict,
@@ -14,9 +13,8 @@ from normdisc.dictionaries import (
     scaled_kernel_dict,
     shifted_kernel_dict,
     symmetrize,
-    union_dict,
 )
-from normdisc.spaces import build_box, grid_P, random_trig_poly
+from normdisc.spaces import grid_P, random_trig_poly
 
 
 def test_exponential_dict_is_identity(cross2):
@@ -73,11 +71,6 @@ class TestSystemDicts:
 
 
 class TestCombinators:
-    def test_union(self, cross2):
-        d = union_dict(exponential_dict(cross2), shifted_kernel_dict(cross2))
-        assert d.n_atoms == 14
-        assert d.field == "complex"
-
     def test_symmetrize(self, trig7):
         base = kernel_shift_dict(trig7, np.array([[0.0], [1.0]]))
         d = symmetrize(base)
@@ -131,28 +124,6 @@ class TestSelection:
         sel = argmax_inner_product(d, r, mode="real")
         ips = d.inner_products(r).real
         assert sel.score == pytest.approx(ips.max())
-
-
-class TestMatrixDict:
-    def test_frobenius_identity(self, trig7, rng):
-        md = MatrixShiftDictionary.from_candidates(trig7, rng.uniform(0, 2 * math.pi, size=(6, 1)))
-        # <G(x), G(y)>_F == D_N(x,y)^2
-        i, j = 1, 4
-        gx = np.outer(md.values[i], md.values[i])
-        gy = np.outer(md.values[j], md.values[j])
-        frob = (gx * gy).sum()
-        assert frob == pytest.approx(md.kernel_with(i)[j] ** 2)
-
-    def test_scale_and_christoffel(self, trig7):
-        md = MatrixShiftDictionary.from_candidates(trig7)
-        assert md.frob_scale == pytest.approx(7.0)
-        assert np.allclose(md.christoffel(), 7.0)
-
-    def test_atom_frobenius_norm_at_most_one(self, trig7):
-        md = MatrixShiftDictionary.from_candidates(trig7)
-        # ||G(x)||_F = w(x) <= N t^2, so scaled atoms have norm <= 1
-        w = md.christoffel()
-        assert (w / md.frob_scale).max() <= 1 + 1e-12
 
 
 def test_atom_norm_guard():

@@ -103,13 +103,6 @@ class TestRGA:
     def test_bound_formula(self):
         assert rga_bound(16) == pytest.approx(0.5)
 
-    def test_csv_rows(self, trig7, rng):
-        d = symmetrize(scaled_kernel_dict(trig7))
-        run = rga(certified_mix(d, rng, 4), d, steps=3, a1_certified=True)
-        rows = list(run.csv_rows())
-        assert len(rows) == 3
-        assert rows[0]["step"] == 1 and rows[0]["bound"] == pytest.approx(2.0)
-
 
 class TestSchedule:
     def test_epsilon_formula(self):

@@ -5,7 +5,6 @@ import pytest
 
 from normdisc.l1disc import (
     ChainingParams,
-    DiscrepancyFunctional,
     FalsifierEffort,
     _deep_holes,
     certify_l1,
@@ -42,14 +41,6 @@ class TestDiscrepancy:
         quad = Quadrature.tensor_torus([1], oversample=2000)
         d = discrepancy(f, grid_P([1]), 1, quad)
         assert d == pytest.approx(4.0 / 3.0 - 4.0 / math.pi, abs=1e-5)
-
-    def test_functional_wrapper(self, rng):
-        q = build_box([2])
-        ps = random_l1_pointset(1, 50, seed=1)
-        quad = Quadrature.tensor_torus([2], oversample=16)
-        fn = DiscrepancyFunctional(ps, 1, quad)
-        f = random_trig_poly(q, rng)
-        assert fn(f) == pytest.approx(discrepancy(f, ps, 1, quad))
 
     def test_weighted_points(self):
         q = freqset([(0,)])
@@ -193,6 +184,24 @@ class TestFalsifier:
             d = np.abs(h - pts[:, 0])
             d = np.minimum(d, 2 * math.pi - d)
             assert d.min() > 1.0
+
+    def test_deep_holes_2d_are_top_scores(self):
+        # score of a mesh point: periodic l-infinity distance to the nearest input point
+        pts = random_l1_pointset(2, 37, seed=5).points
+        count = 6
+        holes = _deep_holes(pts, 2, count)
+        axis = 2 * math.pi * np.arange(64) / 64  # 4096 ** (1/2) points per axis
+        mesh = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+
+        def score(x):
+            d = np.abs(x[:, None, :] - pts[None, :, :])
+            return np.minimum(d, 2 * math.pi - d).max(axis=2).min(axis=1)
+
+        assert holes.shape == (count, 2)
+        assert len({tuple(h) for h in holes}) == count
+        assert all(np.isin(holes[:, j], axis).all() for j in range(2))
+        top = np.sort(score(mesh))[::-1][:count]
+        assert np.array_equal(np.sort(score(holes))[::-1], top)
 
 
 class TestNikolskii:

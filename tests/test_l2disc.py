@@ -8,7 +8,6 @@ from normdisc.l2disc import (
     bss_weighted_sparsify,
     concentration_budget,
     discretization_matrix,
-    extremal_eigenvalues,
     frobenius_rga_pointset,
     l2_certificate,
     min_m_concentration,
@@ -24,7 +23,6 @@ class TestCertificates:
         cert = l2_certificate(trig7, grid_P([3]))
         assert cert.eps < 1e-12
         assert cert.frobenius_residual < 1e-12
-        assert cert.method == "eigh"
 
     def test_single_point(self, trig7):
         cert = l2_certificate(trig7, PointSet(np.array([[0.4]])))
@@ -40,13 +38,6 @@ class TestCertificates:
             c = trig7.random_coeffs(rng)
             q = (w * trig7.span_values(c, ps.points) ** 2).sum() / (c @ c)
             assert cert.lam_min - 1e-10 <= q <= cert.lam_max + 1e-10
-
-    def test_power_iteration_path(self):
-        vals = np.array([0.5] + [1.0] * 598 + [2.0])
-        lo, hi, method = extremal_eigenvalues(np.diag(vals))
-        assert method == "power"
-        assert hi == pytest.approx(2.0, abs=1e-6)
-        assert lo == pytest.approx(0.5, abs=1e-6)
 
     def test_weighted_matrix(self, trig7):
         ps = PointSet(np.array([[0.1], [1.3]]), np.array([0.25, 0.75]))

@@ -13,7 +13,6 @@ from normdisc.spaces import (
     build_box,
     build_dyadic_block,
     build_hyperbolic_cross,
-    dirichlet_kernel,
     dirichlet_poly,
     freqset,
     grid_P,
@@ -107,7 +106,7 @@ class TestTrigPolynomials:
 
     def test_dirichlet_peak(self):
         q = build_box([5])
-        assert dirichlet_kernel(q, 0.0) == pytest.approx(len(q))
+        assert dirichlet_poly(q).evaluate(0.0) == pytest.approx(len(q))
         w = normalized_dirichlet_poly(q)
         assert w.l2_norm() == pytest.approx(1.0)
 
@@ -214,6 +213,13 @@ class TestPointSet:
         ps = PointSet(np.array([[7.0], [-1.0]]))
         assert (ps.points >= 0).all() and (ps.points < 2 * math.pi).all()
 
+    def test_tiny_negative_maps_to_zero(self):
+        # np.mod(-1e-18, 2*pi) rounds up to exactly 2*pi
+        ps = PointSet(np.array([[-1e-18, 1.0], [-1e-300, -1.0]]))
+        assert (ps.points < 2 * math.pi).all()
+        assert ps.points[0, 0] == 0.0 and ps.points[1, 0] == 0.0
+        assert ps.points[0, 1] == 1.0 and ps.points[1, 1] == np.mod(-1.0, 2 * math.pi)
+
     def test_default_weights(self):
         ps = PointSet(np.zeros((4, 1)))
         assert np.allclose(ps.effective_weights(), 0.25)
@@ -239,7 +245,7 @@ class TestOrthonormalSystems:
         x = np.array([[0.8]])
         y = np.array([[0.15]])
         k = trig7.kernel(x, y)[0, 0]
-        d = dirichlet_kernel(cross2, np.array([0.65])).real
+        d = dirichlet_poly(cross2).evaluate(np.array([0.65])).real
         assert k == pytest.approx(d, abs=1e-10)
 
     def test_span_norm_matches_poly_norm(self, trig7, cross2, rng):
