@@ -18,6 +18,8 @@ EXIT_OK = 0
 EXIT_TARGET = 1  # ran fine but a requested target was not met
 EXIT_USAGE = 2  # bad arguments or config
 
+DISCRETIZE_M = 64  # discretize --m when not given
+
 CSV_COLUMNS = ("space", "N", "m", "method", "seed", "eps", "r_min", "r_max", "runtime_ms")
 
 
@@ -39,7 +41,10 @@ def parse_seeds(spec: str) -> list[int]:
     """'0..9' (inclusive) or '1,4,7'."""
     if ".." in spec:
         lo, _, hi = spec.partition("..")
-        return list(range(int(lo), int(hi) + 1))
+        seeds = list(range(int(lo), int(hi) + 1))
+        if not seeds:
+            raise ConfigError(f"empty seed range {spec!r}")
+        return seeds
     return [int(v) for v in spec.split(",")]
 
 
@@ -153,10 +158,15 @@ def cmd_freqset(args) -> int:
 
 
 def cmd_discretize(args) -> int:
-    check_m(args.m)
+    m = args.m
+    if m is None:
+        m = DISCRETIZE_M
+    elif args.method not in ("random", "greedy"):
+        raise ConfigError(f"--m does not apply to --method {args.method}, which sets its own point count")
+    check_m(m)
     Q = parse_space(args.space)
     system = real_trig_system(Q, oversample=args.oversample)
-    ps = build_pointset(system, args.method, args.m, args.seed, args.bss_d)
+    ps = build_pointset(system, args.method, m, args.seed, args.bss_d)
     cert = l2_certificate(system, ps)
     print(f"space {args.space} N={system.size} method={args.method} m={ps.m}")
     print(f"eps={fmt(cert.eps)} lam_min={fmt(cert.lam_min)} lam_max={fmt(cert.lam_max)}")
@@ -212,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discretize", help="build one point set and certify it in L2")
     p.add_argument("--space", required=True)
     p.add_argument("--method", default="random", choices=("random", "greedy", "bss", "grid"))
-    p.add_argument("--m", type=int, default=64)
+    p.add_argument("--m", type=int, help=f"point count of random and greedy (default {DISCRETIZE_M})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bss-d", dest="bss_d", type=float, default=4.0)
     p.add_argument("--oversample", type=int, default=4)

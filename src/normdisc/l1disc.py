@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .entropy import EntropyCurve, conditional_entropy_curve, entropy_curve_trig
 from .spaces import (
@@ -35,6 +34,7 @@ from .spaces import (
     TrigPolynomial,
     norm_values_lp,
     poly_norm,
+    sup_norm_on_grid,
 )
 
 LOG_HUGE = 700.0  # exp beyond this overflows a double
@@ -254,6 +254,8 @@ def _ratio_batch(C: np.ndarray, point_values: np.ndarray, quad_values: np.ndarra
 
 def _deep_holes(points: np.ndarray, dim: int, count: int, resolution: int = 4096) -> np.ndarray:
     """Mesh points of the torus farthest (in periodic l-infinity) from every input point."""
+    from scipy.spatial import cKDTree  # imported here: only the falsifier needs scipy.spatial
+
     per_axis = max(8, int(round(resolution ** (1.0 / dim))))
     axes = [TWO_PI * np.arange(per_axis) / per_axis] * dim
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
@@ -405,10 +407,11 @@ def nikolskii_check(Q: FrequencySet, sample_size: int = 100, seed: int = 0, p_li
     for _ in range(sample_size):
         c = rng.standard_normal(len(Q)) + 1j * rng.standard_normal(len(Q))
         f = TrigPolynomial(Q, c)
-        sup = poly_norm(f, math.inf, quad)
+        values = f.values_on(quad)
+        sup = sup_norm_on_grid(f.evaluate, quad, values)
         for p in p_list:
             const = len(Q) if p < 2 else math.sqrt(len(Q))
-            np_norm = norm_values_lp(f.evaluate(quad.nodes), quad.weights, p)
+            np_norm = norm_values_lp(values, quad.weights, p)
             ratio = sup / (const * np_norm)
             rec = out[p]
             rec["max_ratio"] = max(rec["max_ratio"], ratio)

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 TWO_PI = 2.0 * math.pi
+GRAM_BLOCK_ROWS = 4096  # quadrature nodes per block of OrthonormalSystem.gram
 
 Vec = tuple[int, ...]
 
@@ -263,13 +263,14 @@ def theta(n_vec) -> int:
 
 
 def grid_P(n_vec) -> PointSet:
-    """The exact interpolation grid x^n = (2*pi*n_j / (2*N_j + 1)) for Pi(N)."""
-    n_vec = tuple(int(v) for v in np.atleast_1d(np.asarray(n_vec, dtype=np.int64)))
-    if any(v < 0 for v in n_vec):
+    """The exact interpolation grid x^n = (2*pi*n_j / (2*N_j + 1)) for Pi(N).
+
+    Its points are the nodes of ``Quadrature.tensor_torus(N, oversample=1)``.
+    """
+    n_vec = np.atleast_1d(np.asarray(n_vec, dtype=np.int64))
+    if (n_vec < 0).any():
         raise ValueError("box sizes must be nonnegative")
-    axes = [TWO_PI * np.arange(2 * v + 1) / (2 * v + 1) for v in n_vec]
-    pts = np.array(list(itertools.product(*axes)), dtype=float)
-    return PointSet(pts)
+    return PointSet(Quadrature.tensor_torus(n_vec, oversample=1).nodes)
 
 
 @dataclass
@@ -354,6 +355,24 @@ class TrigPolynomial:
             return vals[0]
         return vals
 
+    def values_on(self, quad: Quadrature) -> np.ndarray:
+        """Values at the nodes of ``quad``, in node order.
+
+        On a tensor rule (``quad.meta["sizes"]``) this is an inverse FFT:
+        each coefficient is added into the grid at index ``k mod sizes``, so
+        a rule too coarse to separate two frequencies stays exact.  Any
+        other rule is evaluated by direct sums.
+        """
+        sizes = quad.meta.get("sizes")
+        if sizes is None:
+            return self.evaluate(quad.nodes)
+        if len(sizes) != self.support.dim or math.prod(sizes) != quad.size:
+            raise ValueError(f"tensor rule of sizes {sizes} does not match {quad.size} nodes in dimension {self.support.dim}")
+        grid = np.zeros(sizes, dtype=complex)
+        np.add.at(grid, tuple((self.support.array % sizes).T), self.coeffs)
+        # C order of the flattened grid is the itertools.product order of the nodes
+        return np.fft.ifftn(grid).reshape(-1) * grid.size
+
     def coeff(self, k) -> complex:
         i = self.support.index.get(tuple(int(v) for v in k))
         return complex(self.coeffs[i]) if i is not None else 0.0j
@@ -423,15 +442,16 @@ def reconstruct_on_grid(f: TrigPolynomial, n_vec) -> TrigPolynomial:
     """Exact reconstruction from samples on grid_P(N) for supp(f) within Pi(N).
 
     Uses f(x) = theta(N)^{-1} sum_n f(x^n) D_Q(x - x^n), which in coefficient
-    form reads c_k = theta(N)^{-1} sum_n f(x^n) exp(-i <k, x^n>).
+    form reads c_k = theta(N)^{-1} sum_n f(x^n) exp(-i <k, x^n>): a DFT of
+    the samples, computed by FFT and read off at k mod (2N + 1).
     """
     if not f.support.subset_of_box(n_vec):
         raise ValueError("support is not contained in the box of the grid")
-    pts = grid_P(n_vec).points
-    vals = f.evaluate(pts)
-    E = np.exp(-1j * (pts @ f.support.array.T))
-    coeffs = (vals @ E) / theta(n_vec)
-    return TrigPolynomial(f.support, coeffs)
+    quad = Quadrature.tensor_torus(n_vec, oversample=1)
+    sizes = quad.meta["sizes"]
+    vals = f.values_on(quad)
+    spectrum = np.fft.fftn(vals.reshape(sizes)) / quad.size
+    return TrigPolynomial(f.support, spectrum[tuple((f.support.array % sizes).T)])
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +468,8 @@ def norm_values_lp(values: np.ndarray, weights: np.ndarray, p: float) -> float:
 
 def _refine_abs_max(fn, x0: np.ndarray, spacing: np.ndarray, tol: float) -> float:
     """Local maximization of |fn| around x0; returns the refined value."""
+    from scipy.optimize import minimize, minimize_scalar  # imported here: it loads slower than all of normdisc
+
     d = x0.shape[0]
     if d == 1:
         lo, hi = x0[0] - spacing[0], x0[0] + spacing[0]
@@ -467,14 +489,16 @@ def _refine_abs_max(fn, x0: np.ndarray, spacing: np.ndarray, tol: float) -> floa
     return float(-res.fun)
 
 
-def sup_norm_on_grid(fn, quad: Quadrature, refine: bool = True, tol: float = 1e-8, top_k: int = 3) -> float:
+def sup_norm_on_grid(fn, quad: Quadrature, values: np.ndarray, refine: bool = True, tol: float = 1e-8, top_k: int = 3) -> float:
     """Grid maximum of |fn| over quadrature nodes, refined by local search.
 
-    This is a certified lower bound for the true sup-norm; with the default
-    oversampled grids the refined value is accurate to ``tol`` for the
-    bandlimited functions used throughout.
+    ``values`` are the values of ``fn`` at the nodes; ``fn`` itself is only
+    called by the refinement, one point at a time.  This is a certified
+    lower bound for the true sup-norm; with the default oversampled grids
+    the refined value is accurate to ``tol`` for the bandlimited functions
+    used throughout.
     """
-    vals = np.abs(fn(quad.nodes))
+    vals = np.abs(values)
     best = float(vals.max())
     if not refine or quad.meta.get("discrete"):
         return best
@@ -493,9 +517,10 @@ def poly_norm(f: TrigPolynomial, p: float, quad: Quadrature | None = None, refin
     """
     if quad is None:
         quad = Quadrature.tensor_torus(f.support.max_abs)
+    values = f.values_on(quad)
     if math.isinf(p):
-        return sup_norm_on_grid(f.evaluate, quad, refine=refine)
-    return norm_values_lp(f.evaluate(quad.nodes), quad.weights, p)
+        return sup_norm_on_grid(f.evaluate, quad, values, refine=refine)
+    return norm_values_lp(values, quad.weights, p)
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +597,9 @@ class TrigBasis:
             col = 1
         if self.reps:
             phase = points @ self.rep_array.T
-            out[:, col::2] = math.sqrt(2.0) * np.cos(phase)
-            out[:, col + 1 :: 2] = math.sqrt(2.0) * np.sin(phase)
+            np.cos(phase, out=out[:, col::2])
+            np.sin(phase, out=out[:, col + 1 :: 2])
+            out[:, col:] *= math.sqrt(2.0)
         return out
 
 
@@ -631,7 +657,7 @@ class OrthonormalSystem:
             if np.abs(g - np.eye(self.size)).max() > 1e-8:
                 raise ValueError(f"{self.name}: quadrature Gram is not the identity")
             u = self.quad_values
-            w = (u * u).sum(axis=1)
+            w = np.einsum("ij,ij->i", u, u)
             if self.condition_d and np.abs(w - self.size).max() > 1e-8:
                 raise ValueError(f"{self.name}: christoffel function is not constant N")
             if self.condition_e:
@@ -660,8 +686,13 @@ class OrthonormalSystem:
         return self.evaluate(x) @ self.evaluate(y).T
 
     def gram(self) -> np.ndarray:
-        u = self.quad_values
-        return (u * self.quadrature.weights[:, None]).T @ u
+        # summed over row blocks: a weighted copy of the whole table would double peak memory
+        u, w = self.quad_values, self.quadrature.weights
+        g = np.zeros((self.size, self.size))
+        for s in range(0, u.shape[0], GRAM_BLOCK_ROWS):
+            block = u[s : s + GRAM_BLOCK_ROWS]
+            g += (block * w[s : s + GRAM_BLOCK_ROWS, None]).T @ block
+        return g
 
     def span_values(self, coeffs: np.ndarray, points) -> np.ndarray:
         return self.evaluate(points) @ np.asarray(coeffs, dtype=float)
@@ -669,7 +700,7 @@ class OrthonormalSystem:
     def span_norm(self, coeffs: np.ndarray, p: float, refine: bool = True) -> float:
         coeffs = np.asarray(coeffs, dtype=float)
         if math.isinf(p):
-            return sup_norm_on_grid(lambda pts: self.basis.evaluate(pts) @ coeffs, self.quadrature, refine=refine)
+            return sup_norm_on_grid(lambda pts: self.basis.evaluate(pts) @ coeffs, self.quadrature, self.quad_values @ coeffs, refine=refine)
         return norm_values_lp(self.quad_values @ coeffs, self.quadrature.weights, p)
 
     def random_coeffs(self, rng: np.random.Generator) -> np.ndarray:

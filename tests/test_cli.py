@@ -72,6 +72,18 @@ def test_nonpositive_m_is_a_usage_error(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["discretize", "--space", "cross:2:1", "--method", "bss", "--m", "5"],
+    ["discretize", "--space", "cross:2:1", "--method", "grid", "--m", "5"],
+    ["experiment", "--config", "seeds=3..1"],
+])
+def test_ignored_or_empty_input_is_a_usage_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_unknown_config_key(capsys):
     assert main(["experiment", "--config", "bogus=1"]) == EXIT_USAGE
     assert main(["experiment", "--config", "no_equals_sign"]) == EXIT_USAGE
@@ -126,3 +138,10 @@ def test_console_script_version():
                          capture_output=True, text=True)
     assert res.returncode == 0
     assert "normdisc 0.1.0" in res.stdout
+
+
+def test_import_leaves_scipy_optimize_and_spatial_unloaded():
+    code = "import sys, normdisc.cli; print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from normdisc.spaces import (
+    GRAM_BLOCK_ROWS,
     FrequencySet,
+    OrthonormalSystem,
     PointSet,
     Quadrature,
     TrigPolynomial,
@@ -120,7 +122,7 @@ class TestTrigPolynomials:
 
 
 class TestGridIdentities:
-    @pytest.mark.parametrize("n_vec", [[1], [3], [1, 1], [2, 1]])
+    @pytest.mark.parametrize("n_vec", [[1], [3], [1, 1], [2, 1], [1, 2, 1]])
     def test_reconstruction_exact(self, n_vec, rng):
         q = build_box(n_vec)
         f = random_trig_poly(q, rng)
@@ -190,6 +192,47 @@ class TestNorms:
         assert poly_norm(scale * f, 2) == pytest.approx(scale * base, rel=1e-9)
 
 
+class TestValuesOnQuadrature:
+    SUPPORTS = [
+        build_box([4]),
+        build_box([2, 3]),
+        build_box([1, 2, 1]),
+        build_hyperbolic_cross(3, 1),
+        build_hyperbolic_cross(3, 2),
+        build_hyperbolic_cross(2, 3),
+        freqset([(0,), (3,), (-1,), (7,)]),
+        freqset([(1, 2), (0, -3), (5, 1)]),
+        freqset([(2, 0, -1), (0, 0, 0), (1, 1, 3)]),
+    ]
+
+    @pytest.mark.parametrize("q", SUPPORTS, ids=lambda q: f"{q.dim}d-{len(q)}")
+    @pytest.mark.parametrize("oversample", [1, 4])
+    def test_fft_matches_direct_sums(self, q, oversample, rng):
+        f = random_trig_poly(q, rng)
+        quad = Quadrature.tensor_torus(q.max_abs, oversample=oversample)
+        direct = f.evaluate(quad.nodes)
+        assert np.abs(f.values_on(quad) - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("n_vec,rule", [([4], [1]), ([3, 2], [1, 1]), ([2, 1, 2], [0, 1, 1])])
+    def test_aliasing_rule_stays_exact(self, n_vec, rule, rng):
+        # the rule is too coarse to tell some frequencies of the box apart
+        f = random_trig_poly(build_box(n_vec), rng)
+        quad = Quadrature.tensor_torus(rule, oversample=1)
+        direct = f.evaluate(quad.nodes)
+        assert np.abs(f.values_on(quad) - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    def test_discrete_rule_takes_the_direct_path(self, rng):
+        q = build_box([2, 1])
+        f = random_trig_poly(q, rng)
+        quad = Quadrature.discrete_uniform(Quadrature.tensor_torus(q.max_abs).nodes)
+        assert np.array_equal(f.values_on(quad), f.evaluate(quad.nodes))
+
+    def test_rule_of_another_dimension_is_rejected(self, rng):
+        f = random_trig_poly(build_box([2, 1]), rng)
+        with pytest.raises(ValueError):
+            f.values_on(Quadrature.tensor_torus([2]))
+
+
 class TestQuadrature:
     def test_weights_sum_to_one(self):
         q = Quadrature.tensor_torus([2, 3])
@@ -201,6 +244,14 @@ class TestQuadrature:
         sys = real_trig_system(build_box([2]))
         g = sys.gram()
         assert np.abs(g - np.eye(sys.size)).max() < 1e-12
+
+    def test_gram_over_row_blocks(self, trig7, rng):
+        # more nodes than one row block, with unequal weights
+        nodes = rng.uniform(0, 2 * math.pi, size=(GRAM_BLOCK_ROWS + 1000, 1))
+        quad = Quadrature(nodes, rng.dirichlet(np.ones(nodes.shape[0])))
+        sys = OrthonormalSystem("blocks", trig7.basis, trig7.domain, quad, trig7.size, validate=False)
+        u = sys.quad_values
+        assert np.abs(sys.gram() - (u * quad.weights[:, None]).T @ u).max() < 1e-12
 
     def test_discrete(self):
         pts = np.array([[0.0], [1.0], [2.0]])
