@@ -95,13 +95,29 @@ def run_job(job: tuple) -> dict:
     }
 
 
+L1_VALUES = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False}
+
+
+def parse_l1(spec: str) -> bool:
+    """1/0, true/false or yes/no, in any case."""
+    if spec.lower() not in L1_VALUES:
+        raise ConfigError(f"l1 must be one of {'/'.join(L1_VALUES)}, got {spec!r}")
+    return L1_VALUES[spec.lower()]
+
+
+def parse_effort(spec: str) -> str:
+    if spec not in ("quick", "full"):
+        raise ConfigError(f"effort must be quick or full, got {spec!r}")
+    return spec
+
+
 EXPERIMENT_KEYS = {
     "space": str,
     "m": int,
     "methods": str,
     "seeds": str,
-    "l1": lambda s: s.lower() in ("1", "true", "yes"),
-    "effort": str,
+    "l1": parse_l1,
+    "effort": parse_effort,
     "bss_d": float,
     "oversample": int,
     "eps_target": float,
@@ -246,10 +262,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except (ConfigError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -174,8 +174,7 @@ def shifted_kernel_dict(Q: FrequencySet, points: np.ndarray | None = None, n_vec
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points.reshape(-1, 1)
-    phases = np.exp(-1j * (Q.array @ points.T))  # (|Q|, m)
-    atoms = phases / math.sqrt(len(Q))
+    atoms = Q.characters(points).conj() / math.sqrt(len(Q))
     return Dictionary(
         kind="kernel-translates",
         field="complex",
@@ -185,19 +184,13 @@ def shifted_kernel_dict(Q: FrequencySet, points: np.ndarray | None = None, n_vec
     )
 
 
-def _system_shift_atoms(system: OrthonormalSystem, points: np.ndarray, scale: float) -> np.ndarray:
-    u = system.evaluate(points)  # (m, N)
-    return u.T * scale
-
-
 def kernel_shift_dict(system: OrthonormalSystem, points: np.ndarray) -> Dictionary:
     """Kernel translates u(y)/sqrt(N) in real coordinates.
 
     Under condition D (christoffel identically N) every atom has unit norm,
     and <f, atom_y> = f(y)/sqrt(N).
     """
-    n = system.size
-    atoms = _system_shift_atoms(system, np.asarray(points, dtype=float), 1.0 / math.sqrt(n))
+    atoms = system.evaluate(np.asarray(points, dtype=float)).T * (1.0 / math.sqrt(system.size))
     return Dictionary(
         kind="kernel-shifts",
         field="real",
@@ -221,15 +214,15 @@ def scaled_kernel_dict(system: OrthonormalSystem, points: np.ndarray | None = No
             net = DeltaNet.build(system.dim, choose_delta0(system))
         points = net.points
     points = np.asarray(points, dtype=float)
-    n = system.size
-    atoms = _system_shift_atoms(system, points, 1.0 / math.sqrt(system.constants.k2 * n))
+    scale = 1.0 / math.sqrt(system.constants.k2 * system.size)
+    atoms = system.evaluate(points).T * scale
     return Dictionary(
         kind="scaled-kernel-shifts",
         field="real",
         atoms=atoms,
         labels=tuple(range(atoms.shape[1])),
         shifts=points.reshape(atoms.shape[1], -1),
-        meta={"scale": 1.0 / math.sqrt(system.constants.k2 * n)},
+        meta={"scale": scale},
     )
 
 

@@ -264,19 +264,21 @@ def _deep_holes(points: np.ndarray, dim: int, count: int, resolution: int = 4096
     return mesh[order]
 
 
-def _deterministic_candidates(Q: FrequencySet, pointset: PointSet, effort: FalsifierEffort) -> np.ndarray:
-    """Coefficient rows of structured attack polynomials."""
+def _deterministic_candidates(Q: FrequencySet, pointset: PointSet, point_values: np.ndarray, effort: FalsifierEffort) -> np.ndarray:
+    """Coefficient rows of structured attack polynomials.
+
+    ``point_values`` is the character table ``Q.characters(pointset.points)``.
+    """
     rows = []
     nq = len(Q)
     # single exponentials: |f| constant, ratio exactly one
     eye = np.eye(nq, dtype=complex)
     rows.append(eye)
-    # kernel translates centered at sampling points: mass concentrates there
-    pts = pointset.points[: effort.translate_cap]
-    rows.append(np.exp(-1j * (pts @ Q.array.T)))
+    # kernel translates centered at sampling points, coefficients exp(-i<k, x>): mass concentrates there
+    rows.append(point_values[:, : effort.translate_cap].T.conj())
     # kernel translates centered at deep holes: mass hides from the points
     holes = _deep_holes(pointset.points, Q.dim, effort.hole_count)
-    rows.append(np.exp(-1j * (holes @ Q.array.T)))
+    rows.append(Q.characters(holes).T.conj())
     # vanishing pairs: e_{k_a} - phase * e_{k_b} is zero at the first point
     if pointset.m >= 1 and nq >= 2:
         xi = pointset.points[0]
@@ -346,11 +348,11 @@ def certify_l1(pointset: PointSet, Q: FrequencySet, targets: tuple[float, float]
     rng = np.random.default_rng(seed)
     quad = Quadrature.tensor_torus(Q.max_abs, oversample=effort.oversample)
     # value tables: columns are evaluation points, rows will be coefficients
-    quad_values = np.exp(1j * (Q.array @ quad.nodes.T))  # (|Q|, n_quad)
-    point_values_full = np.exp(1j * (Q.array @ pointset.points.T))
+    quad_values = Q.characters(quad.nodes)  # (|Q|, n_quad)
+    point_values_full = Q.characters(pointset.points)
     w_full = pointset.effective_weights()
 
-    det = _deterministic_candidates(Q, pointset, effort)
+    det = _deterministic_candidates(Q, pointset, point_values_full, effort)
     det /= np.maximum(np.linalg.norm(det, axis=1)[:, None], 1e-300)
 
     if pointset.m > effort.subsample_cap:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import MissingConstant, OrthonormalSystem, PointSet
+from .spaces import MissingConstant, OrthonormalSystem, PointSet, weighted_gram
 
 LOG2 = math.log(2.0)
 SUBGAUSS_C = 2.0 / LOG2  # constant in the exponent of the deviation bound
@@ -56,9 +56,7 @@ class SpectralCertificate:
 
 
 def discretization_matrix(system: OrthonormalSystem, pointset: PointSet) -> np.ndarray:
-    U = system.evaluate(pointset.points)
-    w = pointset.effective_weights()
-    return (U * w[:, None]).T @ U
+    return weighted_gram(system.evaluate(pointset.points), pointset.effective_weights())
 
 
 def l2_certificate(system: OrthonormalSystem, pointset: PointSet) -> SpectralCertificate:
@@ -105,9 +103,9 @@ def random_l2_pointset(system: OrthonormalSystem, m: int, seed: int = 0, retries
     rng = np.random.default_rng(seed)
     best: tuple[PointSet, SpectralCertificate] | None = None
     for _ in range(max(1, retries)):
-        if hasattr(system.domain, "points"):
-            idx = rng.integers(0, system.domain.size, size=m)
-            pts = system.domain.points[idx]
+        if system.quadrature.meta.get("discrete"):
+            nodes = system.quadrature.nodes
+            pts = nodes[rng.integers(0, len(nodes), size=m)]
         else:
             pts = rng.uniform(0.0, 2.0 * math.pi, size=(m, system.dim))
         ps = PointSet(pts)
@@ -241,8 +239,8 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
     When the candidate set is already no larger than ceil(d N), the full
     set (which realizes the identity exactly) is returned unchanged.
     """
-    if d_param <= 1:
-        raise ValueError("the oversampling parameter d must exceed one")
+    if not (1.0 < d_param < math.inf):
+        raise ValueError(f"the oversampling parameter d must satisfy 1 < d < inf, got {d_param}")
     if candidates is None:
         candidates = system.quadrature.nodes
         weights = system.quadrature.weights
@@ -256,10 +254,9 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
     n = system.size
     if M_cand < n:
         raise ValueError("need at least N candidate points")
-    V = U / math.sqrt(M_cand)
-    G = V.T @ V
-    if np.abs(G - np.eye(n)).max() > 1e-8:
+    if np.abs(weighted_gram(U, np.full(M_cand, 1.0 / M_cand)) - np.eye(n)).max() > 1e-8:
         raise ValueError("candidates do not resolve the identity")
+    V = U / math.sqrt(M_cand)
 
     steps = math.ceil(d_param * n)
     bound = bss_ratio_bound(d_param)
@@ -361,5 +358,5 @@ def quadrature_second_moment(system: OrthonormalSystem) -> np.ndarray:
     """
     U = system.quad_values
     om = system.quadrature.weights
-    w = (U * U).sum(axis=1)
-    return (U * (om * (w - 2.0))[:, None]).T @ U + om.sum() * np.eye(system.size)
+    w = np.einsum("ij,ij->i", U, U)
+    return weighted_gram(U, om * (w - 2.0)) + om.sum() * np.eye(system.size)

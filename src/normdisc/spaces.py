@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-GRAM_BLOCK_ROWS = 4096  # quadrature nodes per block of OrthonormalSystem.gram
+GRAM_BLOCK_ROWS = 4096  # rows per block of weighted_gram
 
 Vec = tuple[int, ...]
 
@@ -100,6 +100,10 @@ class FrequencySet:
     @cached_property
     def index(self) -> dict:
         return {k: i for i, k in enumerate(self.freqs)}
+
+    def characters(self, points: np.ndarray) -> np.ndarray:
+        """The (|Q|, m) table exp(i <k, x>) over the frequencies k and the (m, d) points x."""
+        return np.exp(1j * (self.array @ points.T))
 
     @cached_property
     def symmetric(self) -> bool:
@@ -302,9 +306,6 @@ class Quadrature:
     def dim(self) -> int:
         return self.nodes.shape[1]
 
-    def integrate(self, values: np.ndarray):
-        return self.weights @ values
-
     @classmethod
     def tensor_torus(cls, max_freqs, oversample: int = 4) -> "Quadrature":
         max_freqs = np.atleast_1d(np.asarray(max_freqs, dtype=np.int64))
@@ -349,8 +350,7 @@ class TrigPolynomial:
         self.coeffs = c
 
     def evaluate(self, x):
-        pts = as_points(x, self.support.dim)
-        vals = np.exp(1j * (pts @ self.support.array.T)) @ self.coeffs
+        vals = self.coeffs @ self.support.characters(as_points(x, self.support.dim))
         if np.ndim(x) == 0 or (np.ndim(x) == 1 and self.support.dim > 1):
             return vals[0]
         return vals
@@ -381,18 +381,6 @@ class TrigPolynomial:
         # Parseval under the normalized measure
         return float(np.linalg.norm(self.coeffs))
 
-    def is_real(self, tol: float = 1e-10) -> bool:
-        scale = max(1.0, float(np.abs(self.coeffs).max(initial=0.0)))
-        neg = self.support.neg_index
-        for i in range(len(self.support)):
-            j = neg[i]
-            if j < 0:
-                if abs(self.coeffs[i]) > tol * scale:
-                    return False
-            elif abs(self.coeffs[i] - np.conj(self.coeffs[j])) > tol * scale:
-                return False
-        return True
-
     def _check_same_support(self, other: "TrigPolynomial"):
         if self.support.freqs != other.support.freqs:
             raise ValueError("supports differ")
@@ -416,14 +404,9 @@ def dirichlet_poly(Q: FrequencySet) -> TrigPolynomial:
     return TrigPolynomial(Q, np.ones(len(Q), dtype=complex))
 
 
-def normalized_dirichlet_poly(Q: FrequencySet) -> TrigPolynomial:
-    return TrigPolynomial(Q, np.full(len(Q), 1.0 / math.sqrt(len(Q)), dtype=complex))
-
-
 def translate_poly(f: TrigPolynomial, y) -> TrigPolynomial:
     """The shift f(. - y), i.e. coefficients c_k * exp(-i <k, y>)."""
-    y = as_points(y, f.support.dim)[0]
-    phase = np.exp(-1j * (f.support.array @ y))
+    phase = f.support.characters(as_points(y, f.support.dim))[:, 0].conj()
     return TrigPolynomial(f.support, f.coeffs * phase)
 
 
@@ -528,26 +511,6 @@ def poly_norm(f: TrigPolynomial, p: float, quad: Quadrature | None = None, refin
 
 
 @dataclass(frozen=True)
-class TorusDomain:
-    dim: int
-
-
-@dataclass(frozen=True)
-class DiscreteDomain:
-    """A finite point domain carrying the uniform probability measure."""
-
-    points: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-
-@dataclass(frozen=True)
 class SystemConstants:
     """Declared analytic constants of a system (None when unknown).
 
@@ -628,47 +591,56 @@ class TabulatedBasis:
         return self.values[rows]
 
 
+def weighted_gram(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_nu weights_nu u_nu u_nu^T over the rows u_nu of the (m, N) table ``u``.
+
+    Summed over blocks of ``GRAM_BLOCK_ROWS`` rows: a weighted copy of the
+    whole table would double peak memory.
+    """
+    g = np.zeros((u.shape[1], u.shape[1]))
+    for s in range(0, u.shape[0], GRAM_BLOCK_ROWS):
+        block = u[s : s + GRAM_BLOCK_ROWS]
+        g += (block * weights[s : s + GRAM_BLOCK_ROWS, None]).T @ block
+    return g
+
+
 @dataclass
 class OrthonormalSystem:
     """A real orthonormal system u_1..u_N with its reference quadrature.
 
-    Orthonormality is verified at construction: the quadrature Gram matrix
-    must equal the identity to 1e-8.  When ``condition_d`` is set the
-    christoffel function w(x) = sum_i u_i(x)^2 must be identically N; when
-    ``condition_e`` is set it must satisfy w(x) <= N t^2.
+    The system lives on the torus, or on the finite point domain of a
+    discrete quadrature (``quadrature.meta["discrete"]``).  Orthonormality
+    is verified at construction: the quadrature Gram matrix must equal the
+    identity to 1e-8.  When ``condition_d`` is set the christoffel function
+    w(x) = sum_i u_i(x)^2 must be identically N; when the constant t is
+    declared it must satisfy w(x) <= N t^2 at the nodes.
     """
 
     name: str
     basis: TrigBasis | TabulatedBasis
-    domain: TorusDomain | DiscreteDomain
     quadrature: Quadrature
-    size: int
     constants: SystemConstants = field(default_factory=SystemConstants)
     condition_d: bool = False
-    condition_e: bool = False
     freqs: FrequencySet | None = None
-    validate: bool = True
 
     def __post_init__(self):
-        if self.size != self.basis.n_funcs:
-            raise ValueError("declared size does not match the basis")
-        if self.validate:
-            g = self.gram()
-            if np.abs(g - np.eye(self.size)).max() > 1e-8:
-                raise ValueError(f"{self.name}: quadrature Gram is not the identity")
-            u = self.quad_values
-            w = np.einsum("ij,ij->i", u, u)
-            if self.condition_d and np.abs(w - self.size).max() > 1e-8:
-                raise ValueError(f"{self.name}: christoffel function is not constant N")
-            if self.condition_e:
-                if self.constants.t is None:
-                    raise MissingConstant("condition E requires the constant t")
-                if w.max() > self.size * self.constants.t**2 + 1e-8:
-                    raise ValueError(f"{self.name}: christoffel function exceeds N t^2")
+        if np.abs(self.gram() - np.eye(self.size)).max() > 1e-8:
+            raise ValueError(f"{self.name}: quadrature Gram is not the identity")
+        u = self.quad_values
+        w = np.einsum("ij,ij->i", u, u)
+        if self.condition_d and np.abs(w - self.size).max() > 1e-8:
+            raise ValueError(f"{self.name}: christoffel function is not constant N")
+        t = self.constants.t
+        if t is not None and w.max() > self.size * t**2 + 1e-8:
+            raise ValueError(f"{self.name}: christoffel function exceeds N t^2")
+
+    @property
+    def size(self) -> int:
+        return self.basis.n_funcs
 
     @property
     def dim(self) -> int:
-        return self.domain.dim
+        return self.quadrature.dim
 
     def evaluate(self, points) -> np.ndarray:
         return self.basis.evaluate(as_points(points, self.dim))
@@ -686,13 +658,7 @@ class OrthonormalSystem:
         return self.evaluate(x) @ self.evaluate(y).T
 
     def gram(self) -> np.ndarray:
-        # summed over row blocks: a weighted copy of the whole table would double peak memory
-        u, w = self.quad_values, self.quadrature.weights
-        g = np.zeros((self.size, self.size))
-        for s in range(0, u.shape[0], GRAM_BLOCK_ROWS):
-            block = u[s : s + GRAM_BLOCK_ROWS]
-            g += (block * w[s : s + GRAM_BLOCK_ROWS, None]).T @ block
-        return g
+        return weighted_gram(self.quad_values, self.quadrature.weights)
 
     def span_values(self, coeffs: np.ndarray, points) -> np.ndarray:
         return self.evaluate(points) @ np.asarray(coeffs, dtype=float)
@@ -702,9 +668,6 @@ class OrthonormalSystem:
         if math.isinf(p):
             return sup_norm_on_grid(lambda pts: self.basis.evaluate(pts) @ coeffs, self.quadrature, self.quad_values @ coeffs, refine=refine)
         return norm_values_lp(self.quad_values @ coeffs, self.quadrature.weights, p)
-
-    def random_coeffs(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(self.size)
 
 
 def _pair_representatives(Q: FrequencySet) -> tuple[Vec, ...]:
@@ -750,12 +713,9 @@ def real_trig_system(Q: FrequencySet, oversample: int = 4, name: str | None = No
     return OrthonormalSystem(
         name=name or f"trig[{Q.dim}d,N={n}]",
         basis=basis,
-        domain=TorusDomain(Q.dim),
         quadrature=quad,
-        size=n,
         constants=_trig_constants(Q, n),
         condition_d=True,
-        condition_e=True,
         freqs=Q,
     )
 
@@ -778,12 +738,9 @@ def real_trig_system_on_grid(Q: FrequencySet, points_per_axis: int, name: str | 
     return OrthonormalSystem(
         name=name or f"trig-grid[{Q.dim}d,N={len(Q)},M={pts.shape[0]}]",
         basis=basis,
-        domain=DiscreteDomain(pts),
         quadrature=quad,
-        size=len(Q),
         constants=_trig_constants(Q, len(Q)),
         condition_d=True,
-        condition_e=True,
         freqs=Q,
     )
 
@@ -812,11 +769,8 @@ def tabulated_system(values: np.ndarray, points: np.ndarray | None = None, name:
     return OrthonormalSystem(
         name=name,
         basis=basis,
-        domain=DiscreteDomain(points),
         quadrature=quad,
-        size=n,
         constants=const,
         condition_d=bool(np.abs(w - n).max() <= 1e-8),
-        condition_e=True,
         freqs=None,
     )

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from normdisc.cli import EXIT_OK, EXIT_TARGET, EXIT_USAGE, main, parse_seeds
+from normdisc.cli import EXIT_OK, EXIT_TARGET, EXIT_USAGE, config_sha, main, parse_config, parse_seeds
 from normdisc.spaces import FrequencySet
 
 
@@ -76,6 +76,10 @@ def test_nonpositive_m_is_a_usage_error(argv, capsys):
     ["discretize", "--space", "cross:2:1", "--method", "bss", "--m", "5"],
     ["discretize", "--space", "cross:2:1", "--method", "grid", "--m", "5"],
     ["experiment", "--config", "seeds=3..1"],
+    ["experiment", "--config", "effort=qiuck"],
+    ["experiment", "--config", "effort=Quick"],
+    ["experiment", "--config", "l1=ture"],
+    ["experiment", "--config", "l1="],
 ])
 def test_ignored_or_empty_input_is_a_usage_error(argv, capsys):
     assert main(argv) == EXIT_USAGE
@@ -145,3 +149,29 @@ def test_import_leaves_scipy_optimize_and_spatial_unloaded():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["discretize", "--space", "cross:2:1", "--method", "bss", "--bss-d", "inf"],
+    ["discretize", "--space", "cross:2:1", "--method", "bss", "--bss-d", "1e400"],
+    ["discretize", "--space", "cross:2:1", "--method", "bss", "--bss-d", "nan"],
+    ["experiment", "--config", "methods=bss", "bss_d=inf"],
+    ["experiment", "--config", "methods=bss", "bss_d=nan"],
+])
+def test_nonfinite_bss_d_is_a_usage_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pairs,sha", [
+    (["l1=yes", "effort=full"], "06b6b85813816968"),
+    (["l1=TRUE", "effort=full"], "06b6b85813816968"),
+    (["l1=1", "effort=quick"], "fcfcf6879beacddf"),
+    (["l1=No"], "05770f014eb7cf56"),
+    (["l1=0"], "05770f014eb7cf56"),
+])
+def test_valid_configs_keep_their_sha(pairs, sha):
+    # CSV headers already written carry these digests, so spellings of a valid value must not move them
+    assert config_sha(parse_config(pairs)) == sha

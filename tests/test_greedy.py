@@ -176,7 +176,7 @@ class TestSupSparsify:
     def test_missing_constants_rejected(self, trig7):
         import dataclasses
 
-        bad = dataclasses.replace(trig7, constants=dataclasses.replace(trig7.constants, k3=None), validate=False)
+        bad = dataclasses.replace(trig7, constants=dataclasses.replace(trig7.constants, k3=None))
         with pytest.raises(Exception):
             sup_norm_sparsify(bad, np.ones(7), steps=4)
 

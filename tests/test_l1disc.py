@@ -7,6 +7,7 @@ from normdisc.l1disc import (
     ChainingParams,
     FalsifierEffort,
     _deep_holes,
+    _deterministic_candidates,
     certify_l1,
     chaining_budget,
     discrepancy,
@@ -176,6 +177,17 @@ class TestFalsifier:
         f = TrigPolynomial(cross2, cert.argmin_coeffs)
         emp = float(ps.effective_weights() @ np.abs(f.evaluate(ps.points)))
         assert emp / poly_norm(f, 1, quad) == pytest.approx(cert.r_min, abs=1e-9)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_deterministic_rows_are_kernel_translates(self, dim):
+        # rows after the single exponentials: exp(-i<k, y>) for sampling points, then deep holes
+        Q = build_hyperbolic_cross(2, dim)
+        ps = random_l1_pointset(dim, 30, seed=3)
+        eff = FalsifierEffort(translate_cap=20, hole_count=5)
+        rows = _deterministic_candidates(Q, ps, Q.characters(ps.points), eff)
+        centers = np.concatenate([ps.points[:20], _deep_holes(ps.points, dim, 5)])
+        direct = np.exp(-1j * (centers @ Q.array.T))
+        assert np.abs(rows[len(Q) : len(Q) + 25] - direct).max() < 1e-14
 
     def test_deep_holes_far_from_points(self):
         pts = np.array([[0.1], [0.2], [6.0]])

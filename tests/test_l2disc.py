@@ -15,7 +15,7 @@ from normdisc.l2disc import (
     random_l2_pointset,
     rank_one_spectrum,
 )
-from normdisc.spaces import PointSet, build_box, grid_P, real_trig_system
+from normdisc.spaces import GRAM_BLOCK_ROWS, PointSet, build_box, build_hyperbolic_cross, grid_P, real_trig_system
 
 
 class TestCertificates:
@@ -35,7 +35,7 @@ class TestCertificates:
         ps, cert = random_l2_pointset(trig7, 40, seed=2)
         w = ps.effective_weights()
         for _ in range(50):
-            c = trig7.random_coeffs(rng)
+            c = rng.standard_normal(7)
             q = (w * trig7.span_values(c, ps.points) ** 2).sum() / (c @ c)
             assert cert.lam_min - 1e-10 <= q <= cert.lam_max + 1e-10
 
@@ -62,6 +62,14 @@ class TestSpectraOracles:
         system = real_trig_system(build_box([2]))
         sm = quadrature_second_moment(system)
         assert np.abs(sm - 4.0 * np.eye(5)).max() < 1e-10
+
+    def test_second_moment_over_row_blocks(self):
+        system = real_trig_system(build_hyperbolic_cross(4, 2))
+        U, om = system.quad_values, system.quadrature.weights
+        assert U.shape[0] > GRAM_BLOCK_ROWS
+        w = (U * U).sum(axis=1)
+        one_shot = (U * (om * (w - 2.0))[:, None]).T @ U + om.sum() * np.eye(system.size)
+        assert np.abs(quadrature_second_moment(system) - one_shot).max() < 1e-10
 
 
 class TestConcentration:
@@ -107,7 +115,7 @@ class TestRandomPointsets:
         ps, cert = random_l2_pointset(system, 64, seed=0)
         assert cert.eps < 1.0
         # samples come from the grid
-        grid = {tuple(np.round(p, 9)) for p in system.domain.points}
+        grid = {tuple(np.round(p, 9)) for p in system.quadrature.nodes}
         assert all(tuple(np.round(p, 9)) in grid for p in ps.points)
 
 
@@ -188,6 +196,11 @@ class TestBarrierSparsify:
     def test_d_must_exceed_one(self, trig7):
         with pytest.raises(ValueError):
             bss_weighted_sparsify(trig7, 1.0)
+
+    @pytest.mark.parametrize("d", [math.inf, math.nan, float("1e400")], ids=["inf", "nan", "1e400"])
+    def test_d_must_be_finite(self, trig7, d):
+        with pytest.raises(ValueError, match="1 < d < inf"):
+            bss_weighted_sparsify(trig7, d)
 
     def test_other_d_values(self):
         system = real_trig_system(build_box([3]), oversample=12)
