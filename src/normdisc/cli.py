@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
+import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .l1disc import FalsifierEffort, certify_l1
-from .l2disc import bss_weighted_sparsify, frobenius_rga_pointset, l2_certificate, random_l2_pointset
+from .l2disc import bss_weighted_sparsify, check_bss_d, frobenius_rga_pointset, l2_certificate, random_l2_pointset
 from .spaces import FrequencySet, build_box, build_hyperbolic_cross, grid_P, real_trig_system
 
 EXIT_OK = 0
@@ -19,6 +18,7 @@ EXIT_TARGET = 1  # ran fine but a requested target was not met
 EXIT_USAGE = 2  # bad arguments or config
 
 DISCRETIZE_M = 64  # discretize --m when not given
+METHODS = ("random", "greedy", "bss", "grid")
 
 CSV_COLUMNS = ("space", "N", "m", "method", "seed", "eps", "r_min", "r_max", "runtime_ms")
 
@@ -140,6 +140,10 @@ class ConfigError(Exception):
     """Validation failure: maps to exit code 2."""
 
 
+def config_methods(cfg: dict) -> list[str]:
+    return [method.strip() for method in cfg["methods"].split(",")]
+
+
 def parse_config(pairs: list[str]) -> dict:
     cfg = dict(EXPERIMENT_DEFAULTS)
     for pair in pairs:
@@ -150,6 +154,13 @@ def parse_config(pairs: list[str]) -> dict:
             raise ConfigError(f"unknown config key {key!r} (known: {', '.join(sorted(EXPERIMENT_KEYS))})")
         cfg[key] = EXPERIMENT_KEYS[key](val)
     check_m(cfg["m"])
+    check_eps_target(cfg["eps_target"])
+    methods = config_methods(cfg)
+    for method in methods:
+        if method not in METHODS:
+            raise ConfigError(f"unknown method {method!r} (known: {', '.join(METHODS)})")
+    if "bss" in methods:
+        check_bss_d(cfg["bss_d"])
     return cfg
 
 
@@ -158,7 +169,15 @@ def check_m(m: int) -> None:
         raise ConfigError(f"m must be a positive integer, got {m}")
 
 
+def check_eps_target(eps_target: float | None) -> None:
+    # eps > nan is always False: a nan target could never fail
+    if eps_target is not None and not math.isfinite(eps_target):
+        raise ConfigError(f"eps target must be finite, got {eps_target}")
+
+
 def config_sha(cfg: dict) -> str:
+    import hashlib  # imported here: it loads OpenSSL, which nothing else at import needs
+
     canon = json.dumps({k: cfg[k] for k in sorted(cfg)}, default=str)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -180,6 +199,9 @@ def cmd_discretize(args) -> int:
     elif args.method not in ("random", "greedy"):
         raise ConfigError(f"--m does not apply to --method {args.method}, which sets its own point count")
     check_m(m)
+    check_eps_target(args.eps_target)
+    if args.method == "bss":
+        check_bss_d(args.bss_d)
     Q = parse_space(args.space)
     system = real_trig_system(Q, oversample=args.oversample)
     ps = build_pointset(system, args.method, m, args.seed, args.bss_d)
@@ -197,13 +219,18 @@ def cmd_discretize(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = parse_config(args.config)
     jobs = []
-    for method in cfg["methods"].split(","):
+    for method in config_methods(cfg):
         for seed in parse_seeds(cfg["seeds"]):
-            jobs.append((cfg["space"], cfg["m"], method.strip(), seed, cfg["l1"], cfg["effort"], cfg["bss_d"], cfg["oversample"]))
+            jobs.append((cfg["space"], cfg["m"], method, seed, cfg["l1"], cfg["effort"], cfg["bss_d"], cfg["oversample"]))
     if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: only --workers > 1 needs it
+
+        # with fork, the pool starts all its workers at once, however few the jobs
+        with ProcessPoolExecutor(max_workers=min(args.workers, len(jobs))) as pool:
             rows = list(pool.map(run_job, jobs))
     else:
         rows = [run_job(j) for j in jobs]
@@ -237,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discretize", help="build one point set and certify it in L2")
     p.add_argument("--space", required=True)
-    p.add_argument("--method", default="random", choices=("random", "greedy", "bss", "grid"))
+    p.add_argument("--method", default="random", choices=METHODS)
     p.add_argument("--m", type=int, help=f"point count of random and greedy (default {DISCRETIZE_M})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bss-d", dest="bss_d", type=float, default=4.0)

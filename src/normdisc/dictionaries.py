@@ -27,7 +27,6 @@ lowest atom index so runs are reproducible.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -39,6 +38,7 @@ from .spaces import (
     MissingConstant,
     OrthonormalSystem,
     grid_P,
+    torus_grid,
 )
 
 
@@ -64,16 +64,9 @@ class Dictionary:
     def n_atoms(self) -> int:
         return self.atoms.shape[1]
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.atoms.shape[0]
-
     def inner_products(self, v: np.ndarray) -> np.ndarray:
         """<v, atom_j> for every atom (conjugate-linear in the atom)."""
         return np.conj(self.atoms).T @ v
-
-    def atom(self, j: int) -> np.ndarray:
-        return self.atoms[:, j]
 
 
 @dataclass(frozen=True)
@@ -120,9 +113,7 @@ class DeltaNet:
         if delta <= 0:
             raise ValueError("delta must be positive")
         count = max(1, math.ceil(TWO_PI / delta))
-        axis = TWO_PI * np.arange(count) / count
-        pts = np.array(list(itertools.product(*([axis] * dim))), dtype=float)
-        return cls(delta=TWO_PI / count, points=pts)
+        return cls(delta=TWO_PI / count, points=torus_grid([count] * dim))
 
     @property
     def size(self) -> int:
@@ -161,7 +152,7 @@ def exponential_dict(Q: FrequencySet) -> Dictionary:
     )
 
 
-def shifted_kernel_dict(Q: FrequencySet, points: np.ndarray | None = None, n_vec=None) -> Dictionary:
+def shifted_kernel_dict(Q: FrequencySet, points: np.ndarray | None = None) -> Dictionary:
     """Translates of the normalized Dirichlet kernel in complex coordinates.
 
     Column for shift y has entries |Q|^(-1/2) exp(-i<k,y>), so that
@@ -170,7 +161,7 @@ def shifted_kernel_dict(Q: FrequencySet, points: np.ndarray | None = None, n_vec
     containing Q.
     """
     if points is None:
-        points = grid_P(Q.max_abs if n_vec is None else n_vec).points
+        points = grid_P(Q.max_abs).points
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points.reshape(-1, 1)
@@ -200,7 +191,7 @@ def kernel_shift_dict(system: OrthonormalSystem, points: np.ndarray) -> Dictiona
     )
 
 
-def scaled_kernel_dict(system: OrthonormalSystem, points: np.ndarray | None = None, net: DeltaNet | None = None) -> Dictionary:
+def scaled_kernel_dict(system: OrthonormalSystem, points: np.ndarray | None = None) -> Dictionary:
     """Kernel atoms g_y = u(y)/sqrt(K2 N) so that <h, g_y> = h(y)/sqrt(K2 N).
 
     Atom norms are sqrt(w(y)/(K2 N)) <= t/sqrt(K2) under condition E, which
@@ -210,9 +201,7 @@ def scaled_kernel_dict(system: OrthonormalSystem, points: np.ndarray | None = No
     if system.constants.k2 is None:
         raise MissingConstant("scaled kernel atoms need k2")
     if points is None:
-        if net is None:
-            net = DeltaNet.build(system.dim, choose_delta0(system))
-        points = net.points
+        points = DeltaNet.build(system.dim, choose_delta0(system)).points
     points = np.asarray(points, dtype=float)
     scale = 1.0 / math.sqrt(system.constants.k2 * system.size)
     atoms = system.evaluate(points).T * scale
@@ -226,7 +215,7 @@ def scaled_kernel_dict(system: OrthonormalSystem, points: np.ndarray | None = No
     )
 
 
-def scaled_basis_dict(system: OrthonormalSystem, signed: bool = True) -> Dictionary:
+def scaled_basis_dict(system: OrthonormalSystem) -> Dictionary:
     """Signed scaled basis elements ±u_i / sqrt(K2), interleaved +,-.
 
     The scaling keeps sup-norms at most one: ||u_i/sqrt(K2)||_inf <= 1.
@@ -236,8 +225,6 @@ def scaled_basis_dict(system: OrthonormalSystem, signed: bool = True) -> Diction
     n = system.size
     scale = 1.0 / math.sqrt(system.constants.k2)
     eye = np.eye(n) * scale
-    if not signed:
-        return Dictionary(kind="scaled-basis", field="real", atoms=eye, labels=tuple(range(n)), meta={"scale": scale})
     atoms = np.empty((n, 2 * n))
     atoms[:, 0::2] = eye
     atoms[:, 1::2] = -eye

@@ -14,7 +14,7 @@ objects:
   tolerance schedule; used to sparsify in the uniform norm via moderate p.
 
 The bounds recorded in a :class:`GreedyRun` are *guarantees*, not estimates:
-tests assert ``residual <= bound + 1e-10`` with zero violations.  The
+tests assert ``residual <= bound + BOUND_SLACK`` with zero violations.  The
 composite routines :func:`sup_norm_sparsify`, :func:`two_stage_sup_approx`
 and :func:`sigma_m_curve` chain the engines into the m-term approximation
 pipelines used by the experiment scripts.
@@ -35,9 +35,12 @@ from .dictionaries import (
     scaled_kernel_dict,
     symmetrize,
 )
-from .spaces import MissingConstant, OrthonormalSystem
+from .spaces import MissingConstant, OrthonormalSystem, norm_values_lp
 
 STOP_TOL = 1e-14
+BOUND_SLACK = 1e-10  # rounding allowance of GreedyRun.bound_violations
+OGA_RIDGE = 1e-12  # diagonal added to the Gram of oga's normal equations
+SIGMA_MIX = 40  # atoms in each convex combination sampled by sigma_m_curve
 
 
 class GreedyStepInfeasible(RuntimeError):
@@ -62,10 +65,10 @@ class GreedyRun:
     bounds: np.ndarray | None = None  # length m, guaranteed residual bound per step
     meta: dict = field(default_factory=dict)
 
-    def bound_violations(self, slack: float = 1e-10) -> int:
+    def bound_violations(self) -> int:
         if self.bounds is None:
             return 0
-        return int((self.residual_norms[1 : self.m + 1] > self.bounds[: self.m] + slack).sum())
+        return int((self.residual_norms[1 : self.m + 1] > self.bounds[: self.m] + BOUND_SLACK).sum())
 
 
 def oga_bound(mass: float, m: int, weakness: float = 1.0) -> float:
@@ -76,7 +79,7 @@ def rga_bound(m: int) -> float:
     return 2.0 / math.sqrt(m)
 
 
-def oga(target: np.ndarray, dictionary: Dictionary, steps: int, weakness: float = 1.0, ridge: float = 1e-12, a1_mass: float | None = None) -> GreedyRun:
+def oga(target: np.ndarray, dictionary: Dictionary, steps: int, weakness: float = 1.0, a1_mass: float | None = None) -> GreedyRun:
     """Weak orthogonal greedy over a finite dictionary.
 
     Each step selects by |<residual, atom>| (lowest qualifying index when
@@ -95,7 +98,7 @@ def oga(target: np.ndarray, dictionary: Dictionary, steps: int, weakness: float 
         selected.append(sel.index)
         A = dictionary.atoms[:, selected]
         G = np.conj(A).T @ A
-        G[np.diag_indices_from(G)] += ridge
+        G[np.diag_indices_from(G)] += OGA_RIDGE
         coef = np.linalg.solve(G, np.conj(A).T @ target)
         residual = target - A @ coef
         norms.append(float(np.linalg.norm(residual)))
@@ -174,7 +177,7 @@ class Schedule:
         return cls(beta=beta, gamma=(p - 1.0) / 2.0, q=2.0)
 
 
-def ia(system: OrthonormalSystem, target: np.ndarray, p: float, steps: int, schedule: Schedule | None = None, dictionary: Dictionary | None = None, record_sup: bool = False) -> GreedyRun:
+def ia(system: OrthonormalSystem, target: np.ndarray, p: float, steps: int, schedule: Schedule | None = None, dictionary: Dictionary | None = None) -> GreedyRun:
     """Incremental greedy in L_p driven by norming functionals.
 
     The target (ambient coefficients, certified inside A1 of the dictionary)
@@ -182,7 +185,8 @@ def ia(system: OrthonormalSystem, target: np.ndarray, p: float, steps: int, sche
     satisfy F_{f - G_{m-1}}(phi_m - f) >= -eps_m; we select the atom
     maximizing F and verify the condition, raising
     :class:`GreedyStepInfeasible` on failure.  Norms and functionals are
-    evaluated on the system quadrature.
+    evaluated on the system quadrature; the grid sup-norm of every residual
+    is recorded in ``meta["sup_norms"]``.
     """
     if p < 2:
         raise ValueError("incremental greedy implemented for p >= 2")
@@ -196,16 +200,12 @@ def ia(system: OrthonormalSystem, target: np.ndarray, p: float, steps: int, sche
     AV = system.quad_values @ dictionary.atoms  # (nodes, atoms)
     Gc = np.zeros_like(target)
     Gv = np.zeros_like(tv)
-
-    def lp(vals):
-        return float((w @ np.abs(vals) ** p) ** (1.0 / p))
-
-    norms = [lp(tv)]
-    sups = [float(np.abs(tv).max())]
+    hv = tv - Gv  # the residual's values at the nodes
+    norms = [norm_values_lp(hv, w, p)]
+    sups = [float(np.abs(hv).max())]
     selected: list[int] = []
     for j in range(1, steps + 1):
-        hv = tv - Gv
-        nh = lp(hv)
+        nh = norms[-1]
         if nh < STOP_TOL * max(1.0, norms[0]):
             break
         dens = w * np.abs(hv / nh) ** (p - 1.0) * np.sign(hv)
@@ -220,13 +220,11 @@ def ia(system: OrthonormalSystem, target: np.ndarray, p: float, steps: int, sche
         selected.append(k)
         Gc = (1.0 - 1.0 / j) * Gc + dictionary.atoms[:, k] / j
         Gv = (1.0 - 1.0 / j) * Gv + AV[:, k] / j
-        norms.append(lp(tv - Gv))
-        if record_sup:
-            sups.append(float(np.abs(tv - Gv).max()))
+        hv = tv - Gv
+        norms.append(norm_values_lp(hv, w, p))
+        sups.append(float(np.abs(hv).max()))
     m = len(selected)
-    meta = {"p": p, "schedule": (schedule.beta, schedule.gamma, schedule.q)}
-    if record_sup:
-        meta["sup_norms"] = np.array(sups)
+    meta = {"p": p, "schedule": (schedule.beta, schedule.gamma, schedule.q), "sup_norms": np.array(sups)}
     return GreedyRun(
         algorithm="ia",
         dictionary_kind=dictionary.kind,
@@ -261,7 +259,7 @@ def default_sup_p(system: OrthonormalSystem) -> float:
     return float(max(2, round(math.log(max(system.size, 3)))))
 
 
-def sup_norm_sparsify(system: OrthonormalSystem, target: np.ndarray, steps: int, beta: float = 1.0, p: float | None = None) -> SupSparsifyResult:
+def sup_norm_sparsify(system: OrthonormalSystem, target: np.ndarray, steps: int) -> SupSparsifyResult:
     """m-term uniform-norm sparsification with conserved coefficient mass.
 
     The target (ambient coefficients) is rescaled to unit A1 mass over the
@@ -273,15 +271,14 @@ def sup_norm_sparsify(system: OrthonormalSystem, target: np.ndarray, steps: int,
     c = system.constants
     if c.k2 is None or c.k3 is None or c.k4 is None:
         raise MissingConstant("uniform-norm sparsification needs k2, k3, k4")
-    if p is None:
-        p = default_sup_p(system)
+    p = default_sup_p(system)
     target = np.asarray(target, dtype=float)
     d = scaled_basis_dict(system)
     mass_in = math.sqrt(c.k2) * float(np.abs(target).sum())
     if mass_in < STOP_TOL:
         run = GreedyRun("ia", d.kind, 0, np.zeros(1), [], np.zeros(0), np.zeros_like(target))
         return SupSparsifyResult(run, np.zeros_like(target), 0.0, 0.0, 0.0, 0.0, p)
-    run = ia(system, target / mass_in, p=p, steps=steps, schedule=Schedule.for_lp(p, beta=beta), dictionary=d, record_sup=True)
+    run = ia(system, target / mass_in, p=p, steps=steps, dictionary=d)
     approx = run.approximant * mass_in
     sup_residual = system.span_norm(target - approx, math.inf)
     mass_repr = mass_in * float(run.coefficients.sum())
@@ -294,7 +291,7 @@ def sup_norm_sparsify(system: OrthonormalSystem, target: np.ndarray, steps: int,
         mass_representation=mass_repr,
         mass_combined=mass_combined,
         p=p,
-        meta={"beta": beta, "steps": steps},
+        meta={"steps": steps},
     )
 
 
@@ -308,7 +305,7 @@ class TwoStageResult:
     meta: dict = field(default_factory=dict)
 
 
-def two_stage_sup_approx(system: OrthonormalSystem, target: np.ndarray, steps: int, beta: float = 1.0) -> TwoStageResult:
+def two_stage_sup_approx(system: OrthonormalSystem, target: np.ndarray, steps: int) -> TwoStageResult:
     """Uniform-norm m-term approximation: L2 relaxed greedy, then sparsify.
 
     Stage one spends half the budget reducing the L2 residual over the
@@ -327,7 +324,7 @@ def two_stage_sup_approx(system: OrthonormalSystem, target: np.ndarray, steps: i
     run1 = rga(target / mass1, d, steps=m1, a1_certified=True)
     stage1_approx = run1.approximant * mass1
     h = target - stage1_approx
-    stage2 = sup_norm_sparsify(system, h, steps=m2, beta=beta)
+    stage2 = sup_norm_sparsify(system, h, steps=m2)
     approx = stage1_approx + stage2.approx
     return TwoStageResult(
         stage1=run1,
@@ -379,7 +376,7 @@ def _sample_kernel_ball(system: OrthonormalSystem, d: Dictionary, rng, size: int
     return scale * (d.atoms[:, idx] @ a)
 
 
-def sigma_m_curve(system: OrthonormalSystem, ball: str, m_list, n_samples: int = 8, seed: int = 0, mix: int = 40) -> list[SigmaPoint]:
+def sigma_m_curve(system: OrthonormalSystem, ball: str, m_list, n_samples: int = 8, seed: int = 0) -> list[SigmaPoint]:
     """Measured m-term approximation errors against their guarantee curves.
 
     Supported balls (targets sampled with exact convex-combination
@@ -410,26 +407,26 @@ def sigma_m_curve(system: OrthonormalSystem, ball: str, m_list, n_samples: int =
         res = []
         for s in range(n_samples):
             if ball == "coeff-l1":
-                a = _convex_weights(rng, mix)
-                idx = rng.integers(0, len(system.freqs), size=mix)
-                phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=mix))
+                a = _convex_weights(rng, SIGMA_MIX)
+                idx = rng.integers(0, len(system.freqs), size=SIGMA_MIX)
+                phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=SIGMA_MIX))
                 c = np.zeros(len(system.freqs), dtype=complex)
                 np.add.at(c, idx, a * phases)
                 run = oga(c, ed, steps=m, a1_mass=1.0)
                 assert run.bound_violations() == 0
                 res.append(run.residual_norms[-1])
             elif ball == "kernel-l2":
-                f = _sample_kernel_ball(system, kd, rng, mix)
+                f = _sample_kernel_ball(system, kd, rng, SIGMA_MIX)
                 scale = math.sqrt(k2 * n)
                 run = rga(f / scale, kd, steps=m, a1_certified=True)
                 assert run.bound_violations() == 0
                 res.append(scale * run.residual_norms[-1])
             elif ball == "basis-sup":
-                f = _sample_coeff_ball(system, rng, mix)
+                f = _sample_coeff_ball(system, rng, SIGMA_MIX)
                 out = sup_norm_sparsify(system, f, steps=m)
                 res.append(out.sup_residual)
             elif ball == "basis-sup-2stage":
-                f = _sample_coeff_ball(system, rng, mix)
+                f = _sample_coeff_ball(system, rng, SIGMA_MIX)
                 out = two_stage_sup_approx(system, f, steps=m)
                 res.append(out.sup_residual)
             else:

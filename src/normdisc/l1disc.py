@@ -35,9 +35,15 @@ from .spaces import (
     norm_values_lp,
     poly_norm,
     sup_norm_on_grid,
+    torus_grid,
 )
 
 LOG_HUGE = 700.0  # exp beyond this overflows a double
+BERNSTEIN_C = 8.0  # denominator constant of the chaining budget's Bernstein term
+PAIR_C = 16.0  # denominator constant of each chaining level's pair term
+STEP_INIT = 0.5  # first coordinate step of the falsifier's descent
+DEEP_HOLE_MESH = 4096  # about this many mesh points are scored for deep holes
+NIKOLSKII_OVERSAMPLE = 8  # reference rule of nikolskii_check
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +74,8 @@ class ChainingParams:
     entropy curve is the level-n cross curve with constant ``c4`` and the
     per-level accuracy is eta/(4 n dim); with ``curve="conditional"`` an
     assumed curve B * min(N/k, 2^(-k/N)) is used and the accuracy is split
-    evenly over the J active levels.  ``sup_bound`` (default: size) bounds
-    the sup norm of class members and feeds the first, Bernstein-type term.
+    evenly over the J active levels.  ``size`` also bounds the sup norm of
+    class members, which feeds the first, Bernstein-type term.
     """
 
     size: int
@@ -79,9 +85,6 @@ class ChainingParams:
     c4: float = 1.0
     curve: str = "trig"
     big_b: float = 1.0
-    bernstein_c: float = 8.0
-    pair_c: float = 16.0
-    sup_bound: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.eta <= 0.25):
@@ -95,10 +98,6 @@ class ChainingParams:
         if self.curve == "trig":
             return entropy_curve_trig(self.size, self.n, self.c4)
         return conditional_entropy_curve(self.size, self.big_b)
-
-    @property
-    def m_bern(self) -> float:
-        return float(self.size if self.sup_bound is None else self.sup_bound)
 
 
 @dataclass
@@ -136,7 +135,7 @@ def chaining_budget(params: ChainingParams, m: int) -> ChainingBudget:
     covers the coarsest net; each level 2..J contributes a union bound over
     at most 2^(2^j) pairs with increments controlled by delta_{j-1}:
 
-        8 exp(-m eta_lvl^2 / (8 M))
+        8 exp(-m eta_lvl^2 / (8 size))
           + sum_j 2 * 2^(2^j) exp(-m eta_lvl^2 / (16 delta_{j-1})).
 
     Everything is evaluated in log space; the count 2^(2^j) overflows a
@@ -150,11 +149,11 @@ def chaining_budget(params: ChainingParams, m: int) -> ChainingBudget:
         eta_level = params.eta / (4.0 * params.n * params.dim)
     else:
         eta_level = params.eta / (4.0 * J)
-    first_log = math.log(2.0 * 4.0) - m * eta_level**2 / (params.bernstein_c * params.m_bern)
+    first_log = math.log(2.0 * 4.0) - m * eta_level**2 / (BERNSTEIN_C * params.size)
     level_logs = []
     for j in range(2, J + 1):
         delta_prev = curve.bound(2.0 ** (j - 1))
-        t = math.log(2.0) * (1.0 + 2.0**j) - m * eta_level**2 / (params.pair_c * delta_prev)
+        t = math.log(2.0) * (1.0 + 2.0**j) - m * eta_level**2 / (PAIR_C * delta_prev)
         level_logs.append((j, delta_prev, t))
     logs = [first_log] + [t for _, _, t in level_logs]
     peak = max(logs)
@@ -170,7 +169,7 @@ def chaining_budget(params: ChainingParams, m: int) -> ChainingBudget:
         log_total=log_total,
         in_theorem_window=in_window,
         two_J_bound=two_j,
-        meta={"curve": params.curve, "m_bern": params.m_bern},
+        meta={"curve": params.curve},
     )
 
 
@@ -215,7 +214,6 @@ class FalsifierEffort:
     subsample_cap: int = 512
     translate_cap: int = 128
     hole_count: int = 8
-    step_init: float = 0.5
     oversample: int = 16
 
     @classmethod
@@ -252,13 +250,12 @@ def _ratio_batch(C: np.ndarray, point_values: np.ndarray, quad_values: np.ndarra
     return emp / np.maximum(tru, 1e-300), tru
 
 
-def _deep_holes(points: np.ndarray, dim: int, count: int, resolution: int = 4096) -> np.ndarray:
+def _deep_holes(points: np.ndarray, dim: int, count: int) -> np.ndarray:
     """Mesh points of the torus farthest (in periodic l-infinity) from every input point."""
     from scipy.spatial import cKDTree  # imported here: only the falsifier needs scipy.spatial
 
-    per_axis = max(8, int(round(resolution ** (1.0 / dim))))
-    axes = [TWO_PI * np.arange(per_axis) / per_axis] * dim
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    per_axis = max(8, int(round(DEEP_HOLE_MESH ** (1.0 / dim))))
+    mesh = torus_grid([per_axis] * dim)
     score, _ = cKDTree(points, boxsize=TWO_PI).query(mesh, p=np.inf)
     order = np.argsort(score)[::-1][:count]
     return mesh[order]
@@ -307,7 +304,7 @@ def _optimize_ratio(C0: np.ndarray, point_values: np.ndarray, quad_values: np.nd
     """
     C = C0.copy()
     nq = C.shape[1]
-    step = effort.step_init
+    step = STEP_INIT
     obj = sign * _ratio_batch(C, point_values, quad_values, quad_w, point_w)[0]
     for it in range(effort.iters):
         coord = it % nq
@@ -325,7 +322,7 @@ def _optimize_ratio(C0: np.ndarray, point_values: np.ndarray, quad_values: np.nd
         if coord == nq - 1:
             step *= 0.9
             if step < 1e-4:
-                step = effort.step_init * 0.1
+                step = STEP_INIT * 0.1
                 fresh = rng.standard_normal(C.shape) + 1j * rng.standard_normal(C.shape)
                 worst = np.argsort(obj)[-max(1, len(obj) // 10) :]
                 C[worst] = fresh[worst] / np.linalg.norm(fresh[worst], axis=1)[:, None]
@@ -396,7 +393,7 @@ def certify_l1(pointset: PointSet, Q: FrequencySet, targets: tuple[float, float]
 # sanity inequalities
 
 
-def nikolskii_check(Q: FrequencySet, sample_size: int = 100, seed: int = 0, p_list=(1.0, 2.0), oversample: int = 8) -> dict:
+def nikolskii_check(Q: FrequencySet, sample_size: int = 100, seed: int = 0, p_list=(1.0, 2.0)) -> dict:
     """Verify ||f||_inf <= |Q| ||f||_p on random polynomials.
 
     For p >= 2 the sharper constant sqrt(|Q|) is checked instead.  The sup
@@ -404,7 +401,7 @@ def nikolskii_check(Q: FrequencySet, sample_size: int = 100, seed: int = 0, p_li
     true sup norm, so a reported violation is a real one.
     """
     rng = np.random.default_rng(seed)
-    quad = Quadrature.tensor_torus(Q.max_abs, oversample=oversample)
+    quad = Quadrature.tensor_torus(Q.max_abs, oversample=NIKOLSKII_OVERSAMPLE)
     out = {p: {"max_ratio": 0.0, "violations": 0} for p in p_list}
     for _ in range(sample_size):
         c = rng.standard_normal(len(Q)) + 1j * rng.standard_normal(len(Q))

@@ -12,8 +12,8 @@ controls the discretization quality of every f = <c, u> in the span:
 every claim this module produces checkable by direct eigenvalue computation.
 Constructions:
 
-* :func:`random_l2_pointset`   iid uniform points, best certificate of a few
-  draws; :func:`concentration_budget` gives the matching failure-probability
+* :func:`random_l2_pointset`   iid uniform points with their certificate;
+  :func:`concentration_budget` gives the matching failure-probability
   budget and :func:`min_m_concentration` inverts it,
 * :func:`frobenius_rga_pointset` greedy point selection with the guaranteed
   Frobenius bound ``||(1/m) sum G(xi_k) - I||_F <= 2 N t^2 / sqrt(m)``,
@@ -33,6 +33,7 @@ from .spaces import MissingConstant, OrthonormalSystem, PointSet, weighted_gram
 
 LOG2 = math.log(2.0)
 SUBGAUSS_C = 2.0 / LOG2  # constant in the exponent of the deviation bound
+BOUND_SLACK = 1e-10  # rounding allowance of FrobeniusRun.bound_violations
 
 
 @dataclass
@@ -75,8 +76,8 @@ def l2_certificate(system: OrthonormalSystem, pointset: PointSet) -> SpectralCer
 # random points with concentration budgets
 
 
-def concentration_budget(N: int, t: float, eta: float, m: int, c: float = SUBGAUSS_C) -> float:
-    """Failure-probability budget N * exp(-m eta^2 / (c N t^2)).
+def concentration_budget(N: int, t: float, eta: float, m: int) -> float:
+    """Failure-probability budget N * exp(-m eta^2 / (c N t^2)), c = ``SUBGAUSS_C``.
 
     Valid for systems with christoffel function bounded by N t^2; when the
     budget is below one, m iid uniform points give spectral deviation at
@@ -84,35 +85,38 @@ def concentration_budget(N: int, t: float, eta: float, m: int, c: float = SUBGAU
     """
     if not (0 < eta):
         raise ValueError("eta must be positive")
-    return N * math.exp(-m * eta**2 / (c * N * t**2))
+    return N * math.exp(-m * eta**2 / (SUBGAUSS_C * N * t**2))
 
 
-def min_m_concentration(N: int, t: float, eta: float, target: float = 1.0, c: float = SUBGAUSS_C) -> int:
+def min_m_concentration(N: int, t: float, eta: float, target: float = 1.0) -> int:
     """Smallest m whose budget is strictly below ``target``."""
     if not (0 < target):
         raise ValueError("target must be positive")
-    m = math.floor(c * N * t**2 * math.log(N / target) / eta**2) + 1
+    m = math.floor(SUBGAUSS_C * N * t**2 * math.log(N / target) / eta**2) + 1
     m = max(m, 1)
-    while concentration_budget(N, t, eta, m, c) >= target:  # guard rounding
+    while concentration_budget(N, t, eta, m) >= target:  # guard rounding
         m += 1
     return m
 
 
-def random_l2_pointset(system: OrthonormalSystem, m: int, seed: int = 0, retries: int = 1) -> tuple[PointSet, SpectralCertificate]:
-    """Best of ``retries`` iid uniform draws, judged by certificate eps."""
+def random_l2_pointset(system: OrthonormalSystem, m: int, seed: int = 0) -> tuple[PointSet, SpectralCertificate]:
+    """m iid uniform points (uniform nodes on a discrete domain) and their certificate."""
     rng = np.random.default_rng(seed)
-    best: tuple[PointSet, SpectralCertificate] | None = None
-    for _ in range(max(1, retries)):
-        if system.quadrature.meta.get("discrete"):
-            nodes = system.quadrature.nodes
-            pts = nodes[rng.integers(0, len(nodes), size=m)]
-        else:
-            pts = rng.uniform(0.0, 2.0 * math.pi, size=(m, system.dim))
-        ps = PointSet(pts)
-        cert = l2_certificate(system, ps)
-        if best is None or cert.eps < best[1].eps:
-            best = (ps, cert)
-    return best
+    if system.quadrature.meta.get("discrete"):
+        nodes = system.quadrature.nodes
+        pts = nodes[rng.integers(0, len(nodes), size=m)]
+    else:
+        pts = rng.uniform(0.0, 2.0 * math.pi, size=(m, system.dim))
+    ps = PointSet(pts)
+    return ps, l2_certificate(system, ps)
+
+
+def _candidate_table(system: OrthonormalSystem, candidates: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate points (default: the quadrature nodes) and the system's value table on them."""
+    if candidates is None:
+        return system.quadrature.nodes, system.quad_values
+    candidates = np.asarray(candidates, dtype=float)
+    return candidates, system.evaluate(candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +132,8 @@ class FrobeniusRun:
     certificate: SpectralCertificate
     meta: dict = field(default_factory=dict)
 
-    def bound_violations(self, slack: float = 1e-10) -> int:
-        return int((self.residuals > self.bounds + slack).sum())
+    def bound_violations(self) -> int:
+        return int((self.residuals > self.bounds + BOUND_SLACK).sum())
 
 
 def frobenius_rga_pointset(system: OrthonormalSystem, m: int, candidates: np.ndarray | None = None) -> FrobeniusRun:
@@ -147,12 +151,7 @@ def frobenius_rga_pointset(system: OrthonormalSystem, m: int, candidates: np.nda
     """
     if system.constants.t is None:
         raise MissingConstant("greedy point selection needs the christoffel cap t")
-    if candidates is None:
-        candidates = system.quadrature.nodes
-        U = system.quad_values
-    else:
-        candidates = np.asarray(candidates, dtype=float)
-        U = system.evaluate(candidates)
+    candidates, U = _candidate_table(system, candidates)
     w = (U * U).sum(axis=1)
     n = system.size
     t = system.constants.t
@@ -203,6 +202,12 @@ class BssResult:
     meta: dict = field(default_factory=dict)
 
 
+def check_bss_d(d_param: float) -> None:
+    """Reject an oversampling parameter outside 1 < d < inf (nan included)."""
+    if not (1.0 < d_param < math.inf):
+        raise ValueError(f"the oversampling parameter d must satisfy 1 < d < inf, got {d_param}")
+
+
 def bss_ratio_bound(d: float) -> float:
     rd = math.sqrt(d)
     return (d + 1 + 2 * rd) / (d + 1 - 2 * rd)
@@ -239,17 +244,11 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
     When the candidate set is already no larger than ceil(d N), the full
     set (which realizes the identity exactly) is returned unchanged.
     """
-    if not (1.0 < d_param < math.inf):
-        raise ValueError(f"the oversampling parameter d must satisfy 1 < d < inf, got {d_param}")
-    if candidates is None:
-        candidates = system.quadrature.nodes
-        weights = system.quadrature.weights
-        if not np.allclose(weights, weights[0]):
-            raise ValueError("candidate quadrature must have equal weights")
-        U = system.quad_values
-    else:
-        candidates = np.asarray(candidates, dtype=float)
-        U = system.evaluate(candidates)
+    check_bss_d(d_param)
+    weights = system.quadrature.weights
+    if candidates is None and not np.allclose(weights, weights[0]):
+        raise ValueError("candidate quadrature must have equal weights")
+    candidates, U = _candidate_table(system, candidates)
     M_cand = candidates.shape[0]
     n = system.size
     if M_cand < n:

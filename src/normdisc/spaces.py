@@ -30,6 +30,8 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 GRAM_BLOCK_ROWS = 4096  # rows per block of weighted_gram
+SUP_REFINE_TOP_K = 3  # grid maxima refined by local search in sup_norm_on_grid
+SUP_REFINE_TOL = 1e-8  # argument and value tolerance of that local search
 
 Vec = tuple[int, ...]
 
@@ -266,6 +268,12 @@ def theta(n_vec) -> int:
     return int(np.prod(2 * n_vec + 1))
 
 
+def torus_grid(sizes) -> np.ndarray:
+    """The (prod(sizes), d) grid of nodes 2*pi*n_j/sizes_j, rows in the C order of a ``sizes`` array."""
+    axes = [TWO_PI * np.arange(s) / s for s in sizes]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))
+
+
 def grid_P(n_vec) -> PointSet:
     """The exact interpolation grid x^n = (2*pi*n_j / (2*N_j + 1)) for Pi(N).
 
@@ -312,8 +320,7 @@ class Quadrature:
         if oversample < 1:
             raise ValueError("oversample must be >= 1")
         sizes = [max(1, int(oversample) * (2 * int(f) + 1)) for f in max_freqs]
-        axes = [TWO_PI * np.arange(s) / s for s in sizes]
-        nodes = np.array(list(itertools.product(*axes)), dtype=float)
+        nodes = torus_grid(sizes)
         m = nodes.shape[0]
         return cls(nodes, np.full(m, 1.0 / m), meta={"sizes": sizes, "oversample": oversample})
 
@@ -370,7 +377,7 @@ class TrigPolynomial:
             raise ValueError(f"tensor rule of sizes {sizes} does not match {quad.size} nodes in dimension {self.support.dim}")
         grid = np.zeros(sizes, dtype=complex)
         np.add.at(grid, tuple((self.support.array % sizes).T), self.coeffs)
-        # C order of the flattened grid is the itertools.product order of the nodes
+        # C order of the flattened grid is the node order of torus_grid
         return np.fft.ifftn(grid).reshape(-1) * grid.size
 
     def coeff(self, k) -> complex:
@@ -449,7 +456,7 @@ def norm_values_lp(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     return float((weights @ a**p) ** (1.0 / p))
 
 
-def _refine_abs_max(fn, x0: np.ndarray, spacing: np.ndarray, tol: float) -> float:
+def _refine_abs_max(fn, x0: np.ndarray, spacing: np.ndarray) -> float:
     """Local maximization of |fn| around x0; returns the refined value."""
     from scipy.optimize import minimize, minimize_scalar  # imported here: it loads slower than all of normdisc
 
@@ -460,39 +467,39 @@ def _refine_abs_max(fn, x0: np.ndarray, spacing: np.ndarray, tol: float) -> floa
             lambda t: -abs(fn(np.array([[t]]))[0]),
             bounds=(lo, hi),
             method="bounded",
-            options={"xatol": tol},
+            options={"xatol": SUP_REFINE_TOL},
         )
         return float(-res.fun)
     res = minimize(
         lambda v: -abs(fn(v.reshape(1, -1))[0]),
         x0,
         method="Nelder-Mead",
-        options={"xatol": tol, "fatol": tol, "maxiter": 200 * d},
+        options={"xatol": SUP_REFINE_TOL, "fatol": SUP_REFINE_TOL, "maxiter": 200 * d},
     )
     return float(-res.fun)
 
 
-def sup_norm_on_grid(fn, quad: Quadrature, values: np.ndarray, refine: bool = True, tol: float = 1e-8, top_k: int = 3) -> float:
+def sup_norm_on_grid(fn, quad: Quadrature, values: np.ndarray) -> float:
     """Grid maximum of |fn| over quadrature nodes, refined by local search.
 
     ``values`` are the values of ``fn`` at the nodes; ``fn`` itself is only
     called by the refinement, one point at a time.  This is a certified
     lower bound for the true sup-norm; with the default oversampled grids
-    the refined value is accurate to ``tol`` for the bandlimited functions
-    used throughout.
+    the refined value is accurate to ``SUP_REFINE_TOL`` for the bandlimited
+    functions used throughout.
     """
     vals = np.abs(values)
     best = float(vals.max())
-    if not refine or quad.meta.get("discrete"):
+    if quad.meta.get("discrete"):
         return best
     spacing = quad.axis_spacing()
-    order = np.argsort(vals)[::-1][:top_k]
+    order = np.argsort(vals)[::-1][:SUP_REFINE_TOP_K]
     for i in order:
-        best = max(best, _refine_abs_max(fn, quad.nodes[i], spacing, tol))
+        best = max(best, _refine_abs_max(fn, quad.nodes[i], spacing))
     return best
 
 
-def poly_norm(f: TrigPolynomial, p: float, quad: Quadrature | None = None, refine: bool = True) -> float:
+def poly_norm(f: TrigPolynomial, p: float, quad: Quadrature | None = None) -> float:
     """L_p norm of a trigonometric polynomial under the normalized measure.
 
     ``p = math.inf`` uses the grid maximum plus local refinement and is
@@ -502,7 +509,7 @@ def poly_norm(f: TrigPolynomial, p: float, quad: Quadrature | None = None, refin
         quad = Quadrature.tensor_torus(f.support.max_abs)
     values = f.values_on(quad)
     if math.isinf(p):
-        return sup_norm_on_grid(f.evaluate, quad, values, refine=refine)
+        return sup_norm_on_grid(f.evaluate, quad, values)
     return norm_values_lp(values, quad.weights, p)
 
 
@@ -663,10 +670,10 @@ class OrthonormalSystem:
     def span_values(self, coeffs: np.ndarray, points) -> np.ndarray:
         return self.evaluate(points) @ np.asarray(coeffs, dtype=float)
 
-    def span_norm(self, coeffs: np.ndarray, p: float, refine: bool = True) -> float:
+    def span_norm(self, coeffs: np.ndarray, p: float) -> float:
         coeffs = np.asarray(coeffs, dtype=float)
         if math.isinf(p):
-            return sup_norm_on_grid(lambda pts: self.basis.evaluate(pts) @ coeffs, self.quadrature, self.quad_values @ coeffs, refine=refine)
+            return sup_norm_on_grid(lambda pts: self.basis.evaluate(pts) @ coeffs, self.quadrature, self.quad_values @ coeffs)
         return norm_values_lp(self.quad_values @ coeffs, self.quadrature.weights, p)
 
 
@@ -694,7 +701,13 @@ def _trig_constants(Q: FrequencySet, n: int) -> SystemConstants:
     )
 
 
-def real_trig_system(Q: FrequencySet, oversample: int = 4, name: str | None = None) -> OrthonormalSystem:
+def _trig_system(Q: FrequencySet, quad: Quadrature, name: str) -> OrthonormalSystem:
+    # one function per frequency: the constant, and a cos/sin pair per {k, -k} of a symmetric Q
+    basis = TrigBasis(has_const=(0,) * Q.dim in Q.index, reps=_pair_representatives(Q))
+    return OrthonormalSystem(name=name, basis=basis, quadrature=quad, constants=_trig_constants(Q, len(Q)), condition_d=True, freqs=Q)
+
+
+def real_trig_system(Q: FrequencySet, oversample: int = 4) -> OrthonormalSystem:
     """The real orthonormal trigonometric system spanning T(Q) on the torus.
 
     Requires a symmetric Q.  The system satisfies condition D exactly:
@@ -704,23 +717,10 @@ def real_trig_system(Q: FrequencySet, oversample: int = 4, name: str | None = No
         raise ValueError("real trigonometric system needs a symmetric frequency set")
     if len(Q) == 0:
         raise ValueError("frequency set is empty")
-    reps = _pair_representatives(Q)
-    basis = TrigBasis(has_const=(0,) * Q.dim in Q.index, reps=reps)
-    n = len(Q)
-    if basis.n_funcs != n:
-        raise ValueError("frequency set is not closed under negation")
-    quad = Quadrature.tensor_torus(Q.max_abs, oversample=oversample)
-    return OrthonormalSystem(
-        name=name or f"trig[{Q.dim}d,N={n}]",
-        basis=basis,
-        quadrature=quad,
-        constants=_trig_constants(Q, n),
-        condition_d=True,
-        freqs=Q,
-    )
+    return _trig_system(Q, Quadrature.tensor_torus(Q.max_abs, oversample=oversample), f"trig[{Q.dim}d,N={len(Q)}]")
 
 
-def real_trig_system_on_grid(Q: FrequencySet, points_per_axis: int, name: str | None = None) -> OrthonormalSystem:
+def real_trig_system_on_grid(Q: FrequencySet, points_per_axis: int) -> OrthonormalSystem:
     """The same trigonometric system restricted to a uniform grid domain.
 
     The grid must resolve all pairwise frequency differences, i.e.
@@ -730,22 +730,11 @@ def real_trig_system_on_grid(Q: FrequencySet, points_per_axis: int, name: str | 
         raise ValueError("real trigonometric system needs a symmetric frequency set")
     if points_per_axis <= 2 * int(Q.max_abs.max(initial=0)):
         raise ValueError("grid too coarse for orthonormality of the system")
-    reps = _pair_representatives(Q)
-    basis = TrigBasis(has_const=(0,) * Q.dim in Q.index, reps=reps)
-    axes = [TWO_PI * np.arange(points_per_axis) / points_per_axis] * Q.dim
-    pts = np.array(list(itertools.product(*axes)), dtype=float)
-    quad = Quadrature.discrete_uniform(pts)
-    return OrthonormalSystem(
-        name=name or f"trig-grid[{Q.dim}d,N={len(Q)},M={pts.shape[0]}]",
-        basis=basis,
-        quadrature=quad,
-        constants=_trig_constants(Q, len(Q)),
-        condition_d=True,
-        freqs=Q,
-    )
+    quad = Quadrature.discrete_uniform(torus_grid([points_per_axis] * Q.dim))
+    return _trig_system(Q, quad, f"trig-grid[{Q.dim}d,N={len(Q)},M={quad.size}]")
 
 
-def tabulated_system(values: np.ndarray, points: np.ndarray | None = None, name: str = "tabulated") -> OrthonormalSystem:
+def tabulated_system(values: np.ndarray, points: np.ndarray | None = None) -> OrthonormalSystem:
     """Wrap an (M, N) value table as a system on a discrete uniform domain.
 
     The columns must be orthonormal under the uniform measure on the rows:
@@ -767,7 +756,7 @@ def tabulated_system(values: np.ndarray, points: np.ndarray | None = None, name:
         t=float(math.sqrt(max(w.max() / n, 1e-300))),
     )
     return OrthonormalSystem(
-        name=name,
+        name="tabulated",
         basis=basis,
         quadrature=quad,
         constants=const,

@@ -4,8 +4,19 @@ import sys
 
 import pytest
 
+from normdisc import cli
 from normdisc.cli import EXIT_OK, EXIT_TARGET, EXIT_USAGE, config_sha, main, parse_config, parse_seeds
 from normdisc.spaces import FrequencySet
+
+
+@pytest.fixture
+def no_system(monkeypatch):
+    """Fail the test if the command builds a system: bad input must exit before that."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a system was built for invalid input")
+
+    monkeypatch.setattr(cli, "real_trig_system", refuse)
 
 
 def strip_runtime(text):
@@ -115,6 +126,30 @@ def test_experiment_workers_match_serial(tmp_path):
     assert strip_runtime(a.read_text()) == strip_runtime(b.read_text())
 
 
+def test_experiment_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = ["space=cross:2:1", "m=8", "methods=random", "seeds=0..1"]
+    assert main(["experiment", "--config", *cfg, "--out", str(tmp_path / "w.csv"), "--workers", "64"]) == EXIT_OK
+    assert started == [2]
+
+
 def test_experiment_l1_failure_exits_1(tmp_path):
     # a single point cannot discretize a 7-dim space: r_min collapses to 0
     cfg = ["space=cross:2:1", "m=1", "methods=random", "seeds=0", "l1=true", "effort=quick"]
@@ -145,7 +180,9 @@ def test_console_script_version():
 
 
 def test_import_leaves_scipy_optimize_and_spatial_unloaded():
-    code = "import sys, normdisc.cli; print(sorted(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules))"
+    # _hashlib (OpenSSL) serves only config_sha, the process pool only --workers > 1
+    lazy = ("scipy.optimize", "scipy.spatial", "_hashlib", "concurrent.futures.process")
+    code = f"import sys, normdisc.cli; print(sorted(m for m in {lazy!r} if m in sys.modules))"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
@@ -158,7 +195,25 @@ def test_import_leaves_scipy_optimize_and_spatial_unloaded():
     ["experiment", "--config", "methods=bss", "bss_d=inf"],
     ["experiment", "--config", "methods=bss", "bss_d=nan"],
 ])
-def test_nonfinite_bss_d_is_a_usage_error(argv, capsys):
+def test_nonfinite_bss_d_is_a_usage_error(argv, capsys, no_system):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--config", "space=cross:5:2", "methods=random,nope", "seeds=0"],
+    ["discretize", "--space", "cross:5:2", "--method", "bss", "--bss-d", "inf"],
+    ["discretize", "--space", "cross:2:1", "--method", "bss", "--bss-d", "1"],
+    ["experiment", "--config", "methods=random,bss", "bss_d=0.5", "seeds=0"],
+    ["discretize", "--space", "cross:2:1", "--eps-target", "nan"],
+    ["experiment", "--config", "eps_target=nan", "seeds=0"],
+    ["experiment", "--config", "eps_target=inf", "seeds=0"],
+    ["experiment", "--workers", "-2", "--config", "seeds=0"],
+    ["experiment", "--workers", "0", "--config", "seeds=0"],
+])
+def test_invalid_config_exits_before_any_system_is_built(argv, capsys, no_system):
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -26,7 +26,7 @@ def test_exponential_dict_is_identity(cross2):
 class TestShiftedKernelDict:
     def test_reproduction_property(self, cross2, rng):
         # <f, w_Q(.-y)> == |Q|^{-1/2} f(y)
-        d = shifted_kernel_dict(cross2, n_vec=[3])
+        d = shifted_kernel_dict(cross2, grid_P([3]).points)
         f = random_trig_poly(cross2, rng)
         ips = d.inner_products(f.coeffs)
         expected = f.evaluate(d.shifts) / math.sqrt(7)

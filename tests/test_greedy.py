@@ -68,7 +68,7 @@ class TestOGA:
         for _ in range(25):
             f = certified_mix(d, rng, 10, complex_phases=True)
             run = oga(f, d, steps=7, weakness=weakness, a1_mass=1.0)
-            assert run.bound_violations(slack=1e-10) == 0
+            assert run.bound_violations() == 0
 
     def test_bound_formula(self):
         assert oga_bound(2.0, 4, 0.5) == pytest.approx(2.0 / math.sqrt(2.0))
@@ -98,7 +98,7 @@ class TestRGA:
         for _ in range(25):
             f = certified_mix(d, rng, 12)
             run = rga(f, d, steps=40, a1_certified=True)
-            assert run.bound_violations(slack=1e-10) == 0
+            assert run.bound_violations() == 0
 
     def test_bound_formula(self):
         assert rga_bound(16) == pytest.approx(0.5)
@@ -150,7 +150,7 @@ class TestIA:
     def test_record_sup(self, trig7, rng):
         d = scaled_basis_dict(trig7)
         f = certified_mix(d, rng, 6)
-        run = ia(trig7, f, p=4.0, steps=8, record_sup=True)
+        run = ia(trig7, f, p=4.0, steps=8)
         assert len(run.meta["sup_norms"]) == 9
 
 

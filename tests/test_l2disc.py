@@ -95,11 +95,6 @@ class TestRandomPointsets:
         assert np.array_equal(ps1.points, ps2.points)
         assert c1.eps == c2.eps
 
-    def test_retries_never_worse(self, trig7):
-        _, c1 = random_l2_pointset(trig7, 30, seed=3, retries=1)
-        _, c5 = random_l2_pointset(trig7, 30, seed=3, retries=5)
-        assert c5.eps <= c1.eps
-
     def test_more_points_tighter(self, trig7):
         # measured: the eps ratio between m and 4m exceeds 1.1 for all
         # tested seeds at every size; spot-check a few seeds here
@@ -126,7 +121,7 @@ class TestFrobeniusGreedy:
 
     def test_bound_never_violated(self, trig7):
         run = frobenius_rga_pointset(trig7, 128)
-        assert run.bound_violations(slack=1e-10) == 0
+        assert run.bound_violations() == 0
 
     def test_incremental_matches_direct(self, trig7):
         run = frobenius_rga_pointset(trig7, 12)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from normdisc.spaces import (
     reconstruct_on_grid,
     tabulated_system,
     theta,
+    torus_grid,
     translate_poly,
     weighted_gram,
 )
@@ -241,6 +243,13 @@ class TestValuesOnQuadrature:
 
 
 class TestQuadrature:
+    @pytest.mark.parametrize("sizes", [[7], [1], [36, 36], [3, 1], [12, 20, 8], [4, 1, 5]])
+    def test_torus_grid_is_the_product_order_grid(self, sizes):
+        axes = [2 * math.pi * np.arange(s) / s for s in sizes]
+        grid = torus_grid(sizes)
+        assert grid.dtype == np.float64
+        assert np.array_equal(grid, np.array(list(itertools.product(*axes))))
+
     def test_weights_sum_to_one(self):
         q = Quadrature.tensor_torus([2, 3])
         assert q.weights.sum() == pytest.approx(1.0)
