@@ -10,7 +10,7 @@ import time
 
 from . import __version__
 from .l1disc import FalsifierEffort, certify_l1
-from .l2disc import bss_weighted_sparsify, check_bss_d, frobenius_rga_pointset, l2_certificate, random_l2_pointset
+from .l2disc import bss_weighted_sparsify, check_bss_d, check_m, frobenius_rga_pointset, l2_certificate, random_l2_pointset
 from .spaces import FrequencySet, build_box, build_hyperbolic_cross, grid_P, real_trig_system
 
 EXIT_OK = 0
@@ -162,11 +162,6 @@ def parse_config(pairs: list[str]) -> dict:
     if "bss" in methods:
         check_bss_d(cfg["bss_d"])
     return cfg
-
-
-def check_m(m: int) -> None:
-    if m < 1:
-        raise ConfigError(f"m must be a positive integer, got {m}")
 
 
 def check_eps_target(eps_target: float | None) -> None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import MissingConstant, OrthonormalSystem, PointSet, weighted_gram
+from .spaces import MissingConstant, OrthonormalSystem, PointSet, dirichlet_poly, weighted_gram
 
 LOG2 = math.log(2.0)
 SUBGAUSS_C = 2.0 / LOG2  # constant in the exponent of the deviation bound
@@ -99,8 +99,15 @@ def min_m_concentration(N: int, t: float, eta: float, target: float = 1.0) -> in
     return m
 
 
+def check_m(m: int) -> None:
+    """Reject a point count below one."""
+    if m < 1:
+        raise ValueError(f"m must be a positive integer, got {m}")
+
+
 def random_l2_pointset(system: OrthonormalSystem, m: int, seed: int = 0) -> tuple[PointSet, SpectralCertificate]:
     """m iid uniform points (uniform nodes on a discrete domain) and their certificate."""
+    check_m(m)
     rng = np.random.default_rng(seed)
     if system.quadrature.meta.get("discrete"):
         nodes = system.quadrature.nodes
@@ -136,6 +143,28 @@ class FrobeniusRun:
         return int((self.residuals > self.bounds + BOUND_SLACK).sum())
 
 
+def _kernel_columns(system: OrthonormalSystem, candidates: np.ndarray | None):
+    """Candidates, the christoffel values w on them, pick -> D_N(x_pick, .) over them, and the path's name.
+
+    On the tensor rule of a trigonometric system (default candidates) the
+    kernel is translation invariant, D_N(xi, x) = D_Q(x - xi), so every
+    column is a cyclic shift of D_Q on the grid (one FFT) and w = N
+    exactly: the "shift" path.  Everything else reads the nodes x N value
+    table: the "table" path.
+    """
+    sizes = system.quadrature.meta.get("sizes")
+    if candidates is None and system.freqs is not None and sizes is not None:
+        D = dirichlet_poly(system.freqs).values_on(system.quadrature).real.reshape(sizes)
+        axes = tuple(range(D.ndim))
+
+        def shifted(pick: int) -> np.ndarray:
+            return np.roll(D, np.unravel_index(pick, sizes), axis=axes).reshape(-1)
+
+        return system.quadrature.nodes, np.full(D.size, float(system.size)), shifted, "shift"
+    candidates, U = _candidate_table(system, candidates)
+    return candidates, (U * U).sum(axis=1), lambda pick: U @ U[pick], "table"
+
+
 def frobenius_rga_pointset(system: OrthonormalSystem, m: int, candidates: np.ndarray | None = None) -> FrobeniusRun:
     """Relaxed greedy on rank-one atoms G(x) = u(x) u(x)^T targeting I.
 
@@ -147,12 +176,18 @@ def frobenius_rga_pointset(system: OrthonormalSystem, m: int, candidates: np.nda
 
     Selection maximizes w(x) - S(x)/(j-1) with S(x) = sum_k D_N(xi_k, x)^2,
     which is the Frobenius inner product of the residual with G(x) up to
-    positive scaling; S is updated incrementally from kernel columns.
+    positive scaling; S is updated incrementally from kernel columns, and
+    ties go to the lowest candidate index.  For a trigonometric system on
+    its tensor rule with the default candidates, the columns are cyclic
+    shifts of the Dirichlet kernel D_Q on the grid and w = N exactly, so
+    the first pick is node 0 (``meta["kernel"] == "shift"``).  Explicit
+    candidates, discrete domains and tabulated systems read the system's
+    value table (``meta["kernel"] == "table"``).
     """
+    check_m(m)
     if system.constants.t is None:
         raise MissingConstant("greedy point selection needs the christoffel cap t")
-    candidates, U = _candidate_table(system, candidates)
-    w = (U * U).sum(axis=1)
+    candidates, w, column, kernel = _kernel_columns(system, candidates)
     n = system.size
     t = system.constants.t
 
@@ -164,10 +199,9 @@ def frobenius_rga_pointset(system: OrthonormalSystem, m: int, candidates: np.nda
     for j in range(1, m + 1):
         score = w if j == 1 else w - S / (j - 1)
         pick = int(np.argmax(score))
-        kern = U @ U[pick]  # D_N(xi_j, x) over all candidates
         frob2_B += 2.0 * S[pick] + w[pick] ** 2
         tr_B += w[pick]
-        S += kern**2
+        S += column(pick) ** 2
         selected.append(pick)
         # ||I - B/j||_F^2 = N - 2 tr(B)/j + ||B||_F^2 / j^2
         res2 = n - 2.0 * tr_B / j + frob2_B / j**2
@@ -181,7 +215,7 @@ def frobenius_rga_pointset(system: OrthonormalSystem, m: int, candidates: np.nda
         residuals=np.array(residuals),
         bounds=bounds,
         certificate=cert,
-        meta={"n_candidates": len(w)},
+        meta={"n_candidates": len(w), "kernel": kernel},
     )
 
 
@@ -217,12 +251,13 @@ def _barrier_quadratic_forms(A: np.ndarray, V: np.ndarray, upper: float, lower: 
     """Quadratic forms v^T (uI-A)^{-p} v and v^T (A-lI)^{-p} v, p = 1, 2."""
     lam, W = np.linalg.eigh(A)
     VW = V @ W  # (M, N)
+    VW *= VW  # squared once, in place, for the four forms
     du = upper - lam
     dl = lam - lower
-    q1u = (VW**2) @ (1.0 / du)
-    q2u = (VW**2) @ (1.0 / du**2)
-    q1l = (VW**2) @ (1.0 / dl)
-    q2l = (VW**2) @ (1.0 / dl**2)
+    q1u = VW @ (1.0 / du)
+    q2u = VW @ (1.0 / du**2)
+    q1l = VW @ (1.0 / dl)
+    q2l = VW @ (1.0 / dl**2)
     phi_u = float((1.0 / du).sum())
     phi_l = float((1.0 / dl).sum())
     return q1u, q2u, q1l, q2l, phi_u, phi_l, float(lam[0]), float(lam[-1])

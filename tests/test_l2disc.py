@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from normdisc.l2disc import (
+    _barrier_quadratic_forms,
+    _kernel_columns,
     bss_ratio_bound,
     bss_weighted_sparsify,
     concentration_budget,
@@ -15,7 +17,16 @@ from normdisc.l2disc import (
     random_l2_pointset,
     rank_one_spectrum,
 )
-from normdisc.spaces import GRAM_BLOCK_ROWS, PointSet, build_box, build_hyperbolic_cross, grid_P, real_trig_system
+from normdisc.spaces import (
+    GRAM_BLOCK_ROWS,
+    PointSet,
+    build_box,
+    build_hyperbolic_cross,
+    grid_P,
+    real_trig_system,
+    real_trig_system_on_grid,
+    tabulated_system,
+)
 
 
 class TestCertificates:
@@ -114,6 +125,13 @@ class TestRandomPointsets:
         assert all(tuple(np.round(p, 9)) in grid for p in ps.points)
 
 
+@pytest.mark.parametrize("m", [0, -2])
+@pytest.mark.parametrize("build", [random_l2_pointset, frobenius_rga_pointset], ids=["random", "greedy"])
+def test_point_count_below_one_rejected(trig7, build, m):
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        build(trig7, m)
+
+
 class TestFrobeniusGreedy:
     def test_first_step_residual_exact(self, trig7):
         run = frobenius_rga_pointset(trig7, 1)
@@ -122,20 +140,58 @@ class TestFrobeniusGreedy:
     def test_bound_never_violated(self, trig7):
         run = frobenius_rga_pointset(trig7, 128)
         assert run.bound_violations() == 0
+        for n, dim in ((3, 2), (2, 3)):  # at m = 4N
+            system = real_trig_system(build_hyperbolic_cross(n, dim))
+            assert frobenius_rga_pointset(system, 4 * system.size).bound_violations() == 0
 
     def test_incremental_matches_direct(self, trig7):
-        run = frobenius_rga_pointset(trig7, 12)
-        for m in (3, 7, 12):
-            sel = run.selected[:m]
-            U = trig7.evaluate(trig7.quadrature.nodes[sel])
-            direct = np.linalg.norm(np.eye(7) - U.T @ U / m)
-            # the incremental formula cancels catastrophically only when the
-            # true residual is ~0, leaving a sqrt(machine eps) floor
-            assert run.residuals[m - 1] == pytest.approx(direct, rel=1e-9, abs=5e-8)
+        for system, steps in ((trig7, (3, 7, 12)), (real_trig_system(build_hyperbolic_cross(3, 2)), (5, 49, 150))):
+            run = frobenius_rga_pointset(system, steps[-1])
+            for m in steps:
+                sel = run.selected[:m]
+                U = system.evaluate(system.quadrature.nodes[sel])
+                direct = np.linalg.norm(np.eye(system.size) - U.T @ U / m)
+                # the incremental formula cancels catastrophically only when the
+                # true residual is ~0, leaving a sqrt(machine eps) floor
+                assert run.residuals[m - 1] == pytest.approx(direct, rel=1e-9, abs=5e-8)
 
     def test_spectral_below_frobenius(self, trig7):
         run = frobenius_rga_pointset(trig7, 64)
         assert run.certificate.eps <= run.residuals[-1] + 1e-10
+
+    @pytest.mark.parametrize(
+        "Q, oversample",
+        [
+            (build_hyperbolic_cross(2, 1), 4),
+            (build_hyperbolic_cross(3, 2), 4),
+            (build_hyperbolic_cross(2, 3), 4),
+            (build_box([2, 3, 1]), 4),
+            (build_box([2, 3, 1]), 1),
+            (build_hyperbolic_cross(3, 2), 1),
+        ],
+        ids=["cross:2:1", "cross:3:2", "cross:2:3", "box:2x3x1", "box:2x3x1-oversample1", "cross:3:2-oversample1"],
+    )
+    def test_shifted_dirichlet_column_is_the_kernel(self, Q, oversample):
+        system = real_trig_system(Q, oversample=oversample)
+        nodes, w, column, kernel = _kernel_columns(system, None)
+        assert kernel == "shift"
+        assert nodes is system.quadrature.nodes
+        assert np.array_equal(w, np.full(system.quadrature.size, float(system.size)))
+        U = system.quad_values
+        for p in (0, 1, 5, U.shape[0] // 3, U.shape[0] - 1):
+            assert np.abs(column(p) - U @ U[p]).max() < 1e-12
+
+    def test_kernel_path_recorded(self, trig7, cross2, rng):
+        assert frobenius_rga_pointset(trig7, 3).meta == {"n_candidates": 28, "kernel": "shift"}
+        cand = rng.uniform(0, 2 * math.pi, size=(40, 1))
+        assert frobenius_rga_pointset(trig7, 3, candidates=cand).meta["kernel"] == "table"
+        assert frobenius_rga_pointset(real_trig_system_on_grid(cross2, 16), 3).meta["kernel"] == "table"
+        tab = tabulated_system(trig7.quad_values, trig7.quadrature.nodes)
+        assert frobenius_rga_pointset(tab, 3).meta["kernel"] == "table"
+
+    def test_first_pick_is_node_zero(self):
+        for Q in (build_hyperbolic_cross(2, 1), build_hyperbolic_cross(4, 2), build_hyperbolic_cross(2, 3)):
+            assert frobenius_rga_pointset(real_trig_system(Q), 1).selected == [0]
 
     def test_custom_candidates(self, trig7, rng):
         cand = rng.uniform(0, 2 * math.pi, size=(40, 1))
@@ -146,6 +202,23 @@ class TestFrobeniusGreedy:
 class TestBarrierSparsify:
     def test_ratio_bound_value(self):
         assert bss_ratio_bound(4.0) == pytest.approx(9.0)
+
+    def test_quadratic_forms_match_solve(self, rng):
+        n = 6
+        V = rng.standard_normal((30, n)) / math.sqrt(30)
+        A = V[:10].T @ (rng.uniform(0.5, 2.0, 10)[:, None] * V[:10])
+        lam = np.linalg.eigvalsh(A)
+        upper, lower = lam[-1] + 0.7, lam[0] - 0.4
+        q1u, q2u, q1l, q2l, phi_u, phi_l, lmin, lmax = _barrier_quadratic_forms(A, V, upper, lower)
+        Ru = np.linalg.solve(upper * np.eye(n) - A, V.T)  # (uI - A)^{-1} v per column
+        Rl = np.linalg.solve(A - lower * np.eye(n), V.T)
+        assert np.abs(q1u - np.einsum("ij,ji->i", V, Ru)).max() < 1e-10
+        assert np.abs(q2u - (Ru * Ru).sum(axis=0)).max() < 1e-10
+        assert np.abs(q1l - np.einsum("ij,ji->i", V, Rl)).max() < 1e-10
+        assert np.abs(q2l - (Rl * Rl).sum(axis=0)).max() < 1e-10
+        assert phi_u == pytest.approx(np.trace(np.linalg.inv(upper * np.eye(n) - A)), abs=1e-10)
+        assert phi_l == pytest.approx(np.trace(np.linalg.inv(A - lower * np.eye(n))), abs=1e-10)
+        assert (lmin, lmax) == pytest.approx((lam[0], lam[-1]), abs=1e-12)
 
     def test_guarantees_hold(self):
         system = real_trig_system(build_box([3]), oversample=8)  # 56 candidates
