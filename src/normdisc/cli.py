@@ -57,16 +57,19 @@ def fmt(x) -> str:
 
 
 def build_pointset(system, method: str, m: int, seed: int, bss_d: float):
+    """The point set of ``method`` and its L2 certificate (random and greedy return theirs)."""
     if method == "random":
-        ps, _ = random_l2_pointset(system, m, seed=seed)
-        return ps
+        return random_l2_pointset(system, m, seed=seed)
     if method == "greedy":
-        return frobenius_rga_pointset(system, m).pointset
+        run = frobenius_rga_pointset(system, m)
+        return run.pointset, run.certificate
     if method == "bss":
-        return bss_weighted_sparsify(system, bss_d).pointset
-    if method == "grid":
-        return grid_P(system.freqs.max_abs)
-    raise ValueError(f"unknown method {method!r}")
+        ps = bss_weighted_sparsify(system, bss_d).pointset
+    elif method == "grid":
+        ps = grid_P(system.freqs.max_abs)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return ps, l2_certificate(system, ps)
 
 
 def run_job(job: tuple) -> dict:
@@ -74,8 +77,7 @@ def run_job(job: tuple) -> dict:
     Q = parse_space(spec)
     system = real_trig_system(Q, oversample=oversample)
     t0 = time.perf_counter()
-    ps = build_pointset(system, method, m, seed, bss_d)
-    cert = l2_certificate(system, ps)
+    ps, cert = build_pointset(system, method, m, seed, bss_d)
     r_min = r_max = None
     if do_l1:
         effort = FalsifierEffort.quick() if effort_name == "quick" else FalsifierEffort()
@@ -199,8 +201,7 @@ def cmd_discretize(args) -> int:
         check_bss_d(args.bss_d)
     Q = parse_space(args.space)
     system = real_trig_system(Q, oversample=args.oversample)
-    ps = build_pointset(system, args.method, m, args.seed, args.bss_d)
-    cert = l2_certificate(system, ps)
+    ps, cert = build_pointset(system, args.method, m, args.seed, args.bss_d)
     print(f"space {args.space} N={system.size} method={args.method} m={ps.m}")
     print(f"eps={fmt(cert.eps)} lam_min={fmt(cert.lam_min)} lam_max={fmt(cert.lam_max)}")
     if args.out:

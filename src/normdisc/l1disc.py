@@ -378,8 +378,8 @@ def certify_l1(pointset: PointSet, Q: FrequencySet, targets: tuple[float, float]
     return L1Certificate(
         r_min=r_min,
         r_max=r_max,
-        argmin_coeffs=all_C[i_min],
-        argmax_coeffs=all_C[i_max],
+        argmin_coeffs=all_C[i_min].copy(),  # a row view would keep all of all_C alive
+        argmax_coeffs=all_C[i_max].copy(),
         n_candidates=all_C.shape[0],
         targets=targets,
         passed=(r_min >= targets[0]) and (r_max <= targets[1]),

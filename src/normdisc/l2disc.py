@@ -247,9 +247,8 @@ def bss_ratio_bound(d: float) -> float:
     return (d + 1 + 2 * rd) / (d + 1 - 2 * rd)
 
 
-def _barrier_quadratic_forms(A: np.ndarray, V: np.ndarray, upper: float, lower: float):
-    """Quadratic forms v^T (uI-A)^{-p} v and v^T (A-lI)^{-p} v, p = 1, 2."""
-    lam, W = np.linalg.eigh(A)
+def _barrier_quadratic_forms(lam: np.ndarray, W: np.ndarray, V: np.ndarray, upper: float, lower: float):
+    """Quadratic forms v^T (uI-A)^{-p} v and v^T (A-lI)^{-p} v, p = 1, 2, from A = W diag(lam) W^T."""
     VW = V @ W  # (M, N)
     VW *= VW  # squared once, in place, for the four forms
     du = upper - lam
@@ -260,7 +259,7 @@ def _barrier_quadratic_forms(A: np.ndarray, V: np.ndarray, upper: float, lower: 
     q2l = VW @ (1.0 / dl**2)
     phi_u = float((1.0 / du).sum())
     phi_l = float((1.0 / dl).sum())
-    return q1u, q2u, q1l, q2l, phi_u, phi_l, float(lam[0]), float(lam[-1])
+    return q1u, q2u, q1l, q2l, phi_u, phi_l
 
 
 def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates: np.ndarray | None = None) -> BssResult:
@@ -317,7 +316,7 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
     upper = n * (d_param + rd) / (rd - 1.0)
 
     A = np.zeros((n, n))
-    lamA = np.linalg.eigvalsh(A)  # carried over: each step decomposes A once
+    lamA, W = np.linalg.eigh(A)  # carried over: each step decomposes A once
     acc_weights: dict[int, float] = {}
     # initial potentials: exactly eps_u and eps_l by the choice of l0, u0
     phi_u_prev = eps_u
@@ -325,9 +324,9 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
     for step in range(steps):
         upper_next = upper + delta_u
         lower_next = lower + delta_l
-        q1u, q2u, q1l, q2l, phi_u, phi_l, lmin, lmax = _barrier_quadratic_forms(A, V, upper_next, lower_next)
-        if not (lmin > lower_next and lmax < upper_next):
+        if not (lamA[0] > lower_next and lamA[-1] < upper_next):
             raise RuntimeError("barrier invariant violated: eigenvalue escaped the window")
+        q1u, q2u, q1l, q2l, phi_u, phi_l = _barrier_quadratic_forms(lamA, W, V, upper_next, lower_next)
         phi_u_cur = float((1.0 / (upper - lamA)).sum())
         phi_l_cur = float((1.0 / (lamA - lower)).sum())
         denom_u = phi_u_cur - phi_u  # potential drop from shifting the upper barrier
@@ -344,7 +343,7 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
         A = A + w_j * np.outer(V[j], V[j])
         acc_weights[j] = acc_weights.get(j, 0.0) + w_j
         upper, lower = upper_next, lower_next
-        lamA = np.linalg.eigvalsh(A)
+        lamA, W = np.linalg.eigh(A)
         phi_u_new = float((1.0 / (upper - lamA)).sum())
         phi_l_new = float((1.0 / (lamA - lower)).sum())
         if phi_u_new > phi_u_prev + 1e-7 or phi_l_new > phi_l_prev + 1e-7:

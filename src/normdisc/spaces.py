@@ -542,7 +542,8 @@ class TrigBasis:
 
     One representative per pair {k, -k}; the representative has a positive
     leading nonzero coordinate.  Column order: constant first (when present),
-    then cos/sin interleaved per representative in sorted order.
+    then cos/sin interleaved per representative in sorted order, so each
+    cos/sin pair is the real and imaginary part of sqrt2 exp(i <k, x>).
     """
 
     has_const: bool
@@ -572,6 +573,38 @@ class TrigBasis:
             out[:, col:] *= math.sqrt(2.0)
         return out
 
+    def values_on(self, quad: Quadrature) -> np.ndarray:
+        """The (nodes, N) value table at the nodes of ``quad``, in node order.
+
+        On a tensor rule (``quad.meta["sizes"]``) exp(i <k, x>) is the
+        product over the axes j of exp(i k_j x_j): each axis contributes a
+        small (s_j, R) character table from ``FrequencySet.characters`` on its
+        nodes, and the product is written straight into the cos/sin columns
+        viewed as one complex (sizes..., R) array, with sqrt2 folded into the
+        first factor.  Any other rule is evaluated by ``evaluate``.
+        """
+        sizes = quad.meta.get("sizes")
+        if sizes is None or not self.reps:
+            return self.evaluate(quad.nodes)
+        dim = self.rep_array.shape[1]
+        if len(sizes) != dim or math.prod(sizes) != quad.size:
+            raise ValueError(f"tensor rule of sizes {sizes} does not match {quad.size} nodes in dimension {dim}")
+        out = np.empty((quad.size, self.n_funcs))
+        col = int(self.has_const)
+        out[:, :col] = 1.0
+        # a view: each adjacent cos/sin pair of a row reads as one complex value
+        table = out.reshape(*sizes, self.n_funcs)[..., col:].view(complex)
+        factors = []  # (s_j, R): exp(i k_j x_j) at the nodes x_j of axis j
+        for j in range(dim):
+            axis_nodes = quad.nodes[: math.prod(sizes[j:]) : math.prod(sizes[j + 1 :]), j : j + 1]
+            ks, inverse = np.unique(self.rep_array[:, j], return_inverse=True)
+            factors.append(FrequencySet(1, tuple((k,) for k in ks.tolist())).characters(axis_nodes)[inverse].T)
+        head = np.full(len(self.reps), math.sqrt(2.0))
+        for factor in factors[:-1]:
+            head = head[..., None, :] * factor
+        np.multiply(head[..., None, :], factors[-1], out=table)
+        return out
+
 
 @dataclass(frozen=True)
 class TabulatedBasis:
@@ -596,6 +629,10 @@ class TabulatedBasis:
                 raise ValueError("tabulated system evaluated off its domain")
             rows.append(i)
         return self.values[rows]
+
+    def values_on(self, quad: Quadrature) -> np.ndarray:
+        """The value table at the nodes of ``quad``, which must lie in the domain."""
+        return self.evaluate(quad.nodes)
 
 
 def weighted_gram(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -654,7 +691,8 @@ class OrthonormalSystem:
 
     @cached_property
     def quad_values(self) -> np.ndarray:
-        return self.evaluate(self.quadrature.nodes)
+        """The (nodes, N) table of the basis at the quadrature nodes (see ``TrigBasis.values_on``)."""
+        return self.basis.values_on(self.quadrature)
 
     def christoffel(self, points) -> np.ndarray:
         u = self.evaluate(points)

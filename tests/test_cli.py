@@ -52,6 +52,32 @@ def test_discretize_grid_is_exact(capsys):
     assert eps < 1e-12
 
 
+@pytest.fixture
+def certificate_calls(monkeypatch):
+    """Count l2_certificate calls made from the cli and from inside l2disc."""
+    from normdisc import l2disc
+
+    calls = []
+    certificate = l2disc.l2_certificate
+
+    def counted(*args):
+        calls.append(args)
+        return certificate(*args)
+
+    monkeypatch.setattr(l2disc, "l2_certificate", counted)
+    monkeypatch.setattr(cli, "l2_certificate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_each_job_certifies_its_pointset_once(method, certificate_calls):
+    cli.run_job(("cross:2:2", 40, method, 0, False, "quick", 4.0, 4))
+    assert len(certificate_calls) == 1
+    m = ["--m", "40"] if method in ("random", "greedy") else []
+    assert main(["discretize", "--space", "cross:2:2", "--method", method] + m) == EXIT_OK
+    assert len(certificate_calls) == 2
+
+
 def test_discretize_target_unmet(capsys):
     code = main(["discretize", "--space", "cross:2:1", "--m", "20", "--seed", "0",
                  "--eps-target", "1e-6"])

@@ -160,6 +160,12 @@ class TestFalsifier:
             emp = float(ps.effective_weights() @ np.abs(f.evaluate(ps.points)))
             assert emp / poly_norm(f, 1, quad) == pytest.approx(want, abs=1e-9)
 
+    def test_reported_extremes_own_their_rows(self, cross2):
+        # a row view of the candidate matrix would keep all of it alive with the certificate
+        cert = certify_l1(grid_P([3]), cross2, effort=FalsifierEffort.quick(), seed=0)
+        assert cert.argmin_coeffs.base is None
+        assert cert.argmax_coeffs.base is None
+
     def test_deterministic_in_seed(self, cross2):
         ps = random_l1_pointset(1, 200, seed=11)
         eff = FalsifierEffort.quick()

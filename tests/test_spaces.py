@@ -13,6 +13,7 @@ from normdisc.spaces import (
     PointSet,
     Quadrature,
     SystemConstants,
+    TrigBasis,
     TrigPolynomial,
     build_box,
     build_dyadic_block,
@@ -350,6 +351,46 @@ class TestOrthonormalSystems:
         with pytest.raises(ValueError, match="N t\\^2"):
             OrthonormalSystem("capped", trig7.basis, trig7.quadrature, constants=SystemConstants(t=0.5))
         assert OrthonormalSystem("plain", trig7.basis, trig7.quadrature).dim == 1
+
+    TABLE_SUPPORTS = [
+        (build_hyperbolic_cross(3, 1), 4),
+        (build_box([2, 1]), 1),
+        (build_box([3, 2]), 2),
+        (build_hyperbolic_cross(3, 2), 4),
+        (build_box([1, 0, 2]), 1),  # a size-1 axis
+        (build_hyperbolic_cross(2, 3), 4),
+        (freqset([(1, 0), (-1, 0), (0, 1), (0, -1)]), 1),  # no constant
+        (freqset([(1, 2, 0), (-1, -2, 0), (0, 0, 3), (0, 0, -3)]), 2),
+    ]
+
+    @pytest.mark.parametrize("q,oversample", TABLE_SUPPORTS, ids=lambda v: f"{v.dim}d-{len(v)}" if isinstance(v, FrequencySet) else str(v))
+    def test_tensor_table_matches_direct_evaluation(self, q, oversample):
+        sys = real_trig_system(q, oversample=oversample)
+        assert np.abs(sys.quad_values - sys.basis.evaluate(sys.quadrature.nodes)).max() <= 1e-13
+
+    @pytest.mark.parametrize("sizes", [[6, 7], [7, 6], [4, 4]])
+    def test_tensor_rule_too_coarse_fails_the_gram_check(self, sizes):
+        # max |k_j| = 3 on both axes: a rule needs more than 6 nodes per axis
+        basis = real_trig_system(build_hyperbolic_cross(2, 2)).basis
+        quad = Quadrature(torus_grid(sizes), np.full(math.prod(sizes), 1.0 / math.prod(sizes)), meta={"sizes": sizes})
+        with pytest.raises(ValueError, match="Gram"):
+            OrthonormalSystem("coarse", basis, quad)
+
+    def test_discrete_rule_table_is_evaluated(self, cross2, monkeypatch):
+        seen = []
+        evaluate = TrigBasis.evaluate
+
+        def spy(self, points):
+            seen.append(points)
+            return evaluate(self, points)
+
+        monkeypatch.setattr(TrigBasis, "evaluate", spy)
+        sys = real_trig_system_on_grid(cross2, 16)
+        assert any(p is sys.quadrature.nodes for p in seen)
+
+    def test_tensor_rule_of_another_dimension_is_rejected(self, trig7):
+        with pytest.raises(ValueError):
+            trig7.basis.values_on(Quadrature.tensor_torus([2, 2]))
 
     def test_constants_declared(self, trig7):
         c = trig7.constants
