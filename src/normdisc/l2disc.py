@@ -34,6 +34,7 @@ from .spaces import MissingConstant, OrthonormalSystem, PointSet, dirichlet_poly
 LOG2 = math.log(2.0)
 SUBGAUSS_C = 2.0 / LOG2  # constant in the exponent of the deviation bound
 BOUND_SLACK = 1e-10  # rounding allowance of FrobeniusRun.bound_violations
+BSS_TIE_TOL = 1e-9  # relative gap within which BSS candidates count as tied
 
 
 @dataclass
@@ -336,9 +337,11 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
         Uv = q2u / denom_u + q1u
         Lv = q2l / denom_l - q1l
         gap = Lv - Uv
-        j = int(np.argmax(gap))
-        if gap[j] < -1e-7:
-            raise RuntimeError(f"step {step}: no feasible candidate (best gap {gap[j]:.3e})")
+        best = float(gap.max())
+        if best < -1e-7:
+            raise RuntimeError(f"step {step}: no feasible candidate (best gap {best:.3e})")
+        # ties within rounding go to the lowest index, whichever table gave the gaps
+        j = int(np.argmax(gap >= best - BSS_TIE_TOL * max(1.0, abs(best))))
         w_j = 2.0 / (Uv[j] + Lv[j])
         A = A + w_j * np.outer(V[j], V[j])
         acc_weights[j] = acc_weights.get(j, 0.0) + w_j

@@ -19,7 +19,9 @@ from normdisc.l2disc import (
 )
 from normdisc.spaces import (
     GRAM_BLOCK_ROWS,
+    OrthonormalSystem,
     PointSet,
+    Quadrature,
     build_box,
     build_hyperbolic_cross,
     grid_P,
@@ -268,6 +270,16 @@ class TestBarrierSparsify:
     def test_d_must_be_finite(self, trig7, d):
         with pytest.raises(ValueError, match="1 < d < inf"):
             bss_weighted_sparsify(trig7, d)
+
+    def test_point_set_does_not_follow_table_rounding(self):
+        # the same nodes without "sizes": the table comes from evaluate, off by ~1e-14
+        system = real_trig_system(build_hyperbolic_cross(3, 2))
+        quad = Quadrature(system.quadrature.nodes, system.quadrature.weights)
+        direct = OrthonormalSystem("direct", system.basis, quad, system.constants, condition_d=True)
+        a = bss_weighted_sparsify(system, 4.0).pointset
+        b = bss_weighted_sparsify(direct, 4.0).pointset
+        assert np.array_equal(a.points, b.points)
+        assert np.allclose(a.weights, b.weights, rtol=1e-9, atol=0)
 
     def test_other_d_values(self):
         system = real_trig_system(build_box([3]), oversample=12)
