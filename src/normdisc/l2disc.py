@@ -248,16 +248,20 @@ def bss_ratio_bound(d: float) -> float:
     return (d + 1 + 2 * rd) / (d + 1 - 2 * rd)
 
 
-def _barrier_quadratic_forms(lam: np.ndarray, W: np.ndarray, V: np.ndarray, upper: float, lower: float):
-    """Quadratic forms v^T (uI-A)^{-p} v and v^T (A-lI)^{-p} v, p = 1, 2, from A = W diag(lam) W^T."""
-    VW = V @ W  # (M, N)
-    VW *= VW  # squared once, in place, for the four forms
+def _barrier_quadratic_forms(lam: np.ndarray, W: np.ndarray, U: np.ndarray, scale: float, upper: float, lower: float):
+    """Quadratic forms v^T (uI-A)^{-p} v and v^T (A-lI)^{-p} v, p = 1, 2, from A = W diag(lam) W^T.
+
+    The vectors are v = sqrt(scale) u over the rows u of ``U``; the scale
+    goes into the four length-N factors, so no scaled copy of ``U`` is made.
+    """
+    UW = U @ W  # (M, N)
+    UW *= UW  # squared once, in place, for the four forms
     du = upper - lam
     dl = lam - lower
-    q1u = VW @ (1.0 / du)
-    q2u = VW @ (1.0 / du**2)
-    q1l = VW @ (1.0 / dl)
-    q2l = VW @ (1.0 / dl**2)
+    q1u = UW @ (scale / du)
+    q2u = UW @ (scale / du**2)
+    q1l = UW @ (scale / dl)
+    q2l = UW @ (scale / dl**2)
     phi_u = float((1.0 / du).sum())
     phi_l = float((1.0 / dl).sum())
     return q1u, q2u, q1l, q2l, phi_u, phi_l
@@ -267,8 +271,10 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
     """Deterministic weighted point selection with spectral-ratio guarantee.
 
     Works on candidate vectors v_j = u(x_j)/sqrt(M) that resolve the
-    identity (sum_j v_j v_j^T = I; automatic for equal-weight exact
-    quadratures).  Runs ceil(d N) barrier steps keeping all eigenvalues of
+    identity (sum_j v_j v_j^T = I).  The default candidates, the nodes of
+    the system's equal-weight quadrature, do so by construction of the
+    system; explicit candidates are checked numerically to 1e-8.  Runs
+    ceil(d N) barrier steps keeping all eigenvalues of
     the running matrix between moving barriers l and u; each step adds one
     reweighted rank-one candidate chosen so both barrier potentials stay
     controlled.  Output weights are normalized so the lower discretization
@@ -283,14 +289,15 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
     weights = system.quadrature.weights
     if candidates is None and not np.allclose(weights, weights[0]):
         raise ValueError("candidate quadrature must have equal weights")
+    # default candidates are the system's equal-weight nodes, which construction proved exact
+    explicit = candidates is not None
     candidates, U = _candidate_table(system, candidates)
     M_cand = candidates.shape[0]
     n = system.size
     if M_cand < n:
         raise ValueError("need at least N candidate points")
-    if np.abs(weighted_gram(U, np.full(M_cand, 1.0 / M_cand)) - np.eye(n)).max() > 1e-8:
+    if explicit and np.abs(weighted_gram(U, np.full(M_cand, 1.0 / M_cand)) - np.eye(n)).max() > 1e-8:
         raise ValueError("candidates do not resolve the identity")
-    V = U / math.sqrt(M_cand)
 
     steps = math.ceil(d_param * n)
     bound = bss_ratio_bound(d_param)
@@ -327,7 +334,7 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
         lower_next = lower + delta_l
         if not (lamA[0] > lower_next and lamA[-1] < upper_next):
             raise RuntimeError("barrier invariant violated: eigenvalue escaped the window")
-        q1u, q2u, q1l, q2l, phi_u, phi_l = _barrier_quadratic_forms(lamA, W, V, upper_next, lower_next)
+        q1u, q2u, q1l, q2l, phi_u, phi_l = _barrier_quadratic_forms(lamA, W, U, 1.0 / M_cand, upper_next, lower_next)
         phi_u_cur = float((1.0 / (upper - lamA)).sum())
         phi_l_cur = float((1.0 / (lamA - lower)).sum())
         denom_u = phi_u_cur - phi_u  # potential drop from shifting the upper barrier
@@ -343,7 +350,7 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
         # ties within rounding go to the lowest index, whichever table gave the gaps
         j = int(np.argmax(gap >= best - BSS_TIE_TOL * max(1.0, abs(best))))
         w_j = 2.0 / (Uv[j] + Lv[j])
-        A = A + w_j * np.outer(V[j], V[j])
+        A = A + (w_j / M_cand) * np.outer(U[j], U[j])
         acc_weights[j] = acc_weights.get(j, 0.0) + w_j
         upper, lower = upper_next, lower_next
         lamA, W = np.linalg.eigh(A)

@@ -289,9 +289,12 @@ def grid_P(n_vec) -> PointSet:
 class Quadrature:
     """A positive cubature rule with weights summing to one.
 
-    The tensor rule is an oversampled product trapezoidal grid; on the torus
-    it integrates every product ``u_i * u_j`` of basis elements exactly as
-    long as the per-axis size exceeds twice the maximal frequency.
+    The tensor rule is an equal-weight product trapezoidal grid of
+    ``meta["sizes"]`` nodes per axis.  It integrates exp(i <h, x>) to 1 when
+    h = 0 mod sizes on every axis and to 0 otherwise, so it integrates every
+    product of T(Q) exactly iff k -> k mod sizes is injective on Q
+    (:func:`resolves_products`).  A per-axis size above twice the maximal
+    frequency is sufficient, not necessary.
     """
 
     nodes: np.ndarray
@@ -337,6 +340,25 @@ class Quadrature:
         if sizes is None:
             return np.full(self.dim, TWO_PI / max(2, round(self.size ** (1.0 / self.dim))))
         return np.array([TWO_PI / s for s in sizes])
+
+
+def resolves_products(Q: FrequencySet, quad: Quadrature) -> bool:
+    """True iff the tensor rule ``quad`` integrates exp(i <k - l, x>) exactly for all k, l in Q.
+
+    On an equal-weight rule with ``quad.meta["sizes"]``, the mean of
+    exp(i <h, x>) over the nodes is 1 if h = 0 mod sizes on every axis and 0
+    otherwise, so the complex Gram of Q (and the real Gram of a symmetric Q)
+    is the identity iff k -> k mod sizes is injective on Q: no rounding, and
+    O(|Q| log |Q|) instead of a product over the nodes.
+    """
+    sizes = quad.meta["sizes"]
+    if len(sizes) != Q.dim or math.prod(sizes) != quad.size:
+        raise ValueError(f"tensor rule of sizes {sizes} does not match {quad.size} nodes in dimension {Q.dim}")
+    if not (quad.weights == 1.0 / quad.size).all():
+        raise ValueError("the difference-set check needs the equal weights 1/nodes")
+    # k mod sizes as the flat index of its grid cell, in the C order of values_on's grid
+    cells = np.sort(np.ravel_multi_index(tuple((Q.array % sizes).T), sizes))
+    return bool((cells[1:] != cells[:-1]).all())
 
 
 # ---------------------------------------------------------------------------
@@ -654,10 +676,15 @@ class OrthonormalSystem:
 
     The system lives on the torus, or on the finite point domain of a
     discrete quadrature (``quadrature.meta["discrete"]``).  Orthonormality
-    is verified at construction: the quadrature Gram matrix must equal the
-    identity to 1e-8.  When ``condition_d`` is set the christoffel function
-    w(x) = sum_i u_i(x)^2 must be identically N; when the constant t is
-    declared it must satisfy w(x) <= N t^2 at the nodes.
+    is verified at construction.  A trigonometric system (``freqs``, the set
+    its basis spans) on a tensor rule (``quadrature.meta["sizes"]``) is
+    checked exactly on the difference set, by :func:`resolves_products`;
+    on every other rule, and for every tabulated system, the quadrature
+    Gram matrix (``weighted_gram``) must equal the identity to 1e-8.  The
+    value table is built either way: when ``condition_d`` is set the
+    christoffel function w(x) = sum_i u_i(x)^2 must be N to 1e-8 at every
+    node; when the constant t is declared it must satisfy w(x) <= N t^2 at
+    the nodes.
     """
 
     name: str
@@ -668,7 +695,11 @@ class OrthonormalSystem:
     freqs: FrequencySet | None = None
 
     def __post_init__(self):
-        if np.abs(self.gram() - np.eye(self.size)).max() > 1e-8:
+        if self.freqs is not None and "sizes" in self.quadrature.meta:
+            exact = resolves_products(self.freqs, self.quadrature)
+        else:
+            exact = np.abs(self.gram() - np.eye(self.size)).max() <= 1e-8
+        if not exact:
             raise ValueError(f"{self.name}: quadrature Gram is not the identity")
         u = self.quad_values
         w = np.einsum("ij,ij->i", u, u)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from normdisc import l2disc
 from normdisc.l2disc import (
     _barrier_quadratic_forms,
     _kernel_columns,
@@ -28,6 +29,7 @@ from normdisc.spaces import (
     real_trig_system,
     real_trig_system_on_grid,
     tabulated_system,
+    weighted_gram,
 )
 
 
@@ -207,11 +209,12 @@ class TestBarrierSparsify:
 
     def test_quadratic_forms_match_solve(self, rng):
         n = 6
-        V = rng.standard_normal((30, n)) / math.sqrt(30)
+        U = rng.standard_normal((30, n))
+        V = U / math.sqrt(30)
         A = V[:10].T @ (rng.uniform(0.5, 2.0, 10)[:, None] * V[:10])
         lam, W = np.linalg.eigh(A)
         upper, lower = lam[-1] + 0.7, lam[0] - 0.4
-        q1u, q2u, q1l, q2l, phi_u, phi_l = _barrier_quadratic_forms(lam, W, V, upper, lower)
+        q1u, q2u, q1l, q2l, phi_u, phi_l = _barrier_quadratic_forms(lam, W, U, 1.0 / 30, upper, lower)
         Ru = np.linalg.solve(upper * np.eye(n) - A, V.T)  # (uI - A)^{-1} v per column
         Rl = np.linalg.solve(A - lower * np.eye(n), V.T)
         assert np.abs(q1u - np.einsum("ij,ji->i", V, Ru)).max() < 1e-10
@@ -280,6 +283,23 @@ class TestBarrierSparsify:
         b = bss_weighted_sparsify(direct, 4.0).pointset
         assert np.array_equal(a.points, b.points)
         assert np.allclose(a.weights, b.weights, rtol=1e-9, atol=0)
+
+    def test_default_candidates_are_not_rechecked(self, monkeypatch):
+        system = real_trig_system(build_box([3]), oversample=8)
+        calls = []
+        monkeypatch.setattr(l2disc, "weighted_gram", lambda *a: calls.append(a) or weighted_gram(*a))
+        bss_weighted_sparsify(system, 4.0)
+        assert calls == []  # the system's own nodes: its construction proved them exact
+
+    def test_explicit_candidates_are_checked(self, trig7, monkeypatch):
+        nodes = real_trig_system(build_box([3]), oversample=8).quadrature.nodes
+        calls = []
+        monkeypatch.setattr(l2disc, "weighted_gram", lambda *a: calls.append(a) or weighted_gram(*a))
+        res = bss_weighted_sparsify(trig7, 4.0, candidates=nodes)
+        assert len(calls) == 1
+        assert res.ratio <= 9.0 + 1e-9
+        with pytest.raises(ValueError, match="resolve the identity"):
+            bss_weighted_sparsify(trig7, 4.0, candidates=np.linspace(0.0, 1.0, 40))
 
     def test_other_d_values(self):
         system = real_trig_system(build_box([3]), oversample=12)

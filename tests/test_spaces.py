@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from normdisc import spaces
 from normdisc.spaces import (
     GRAM_BLOCK_ROWS,
     FrequencySet,
@@ -275,6 +276,83 @@ class TestQuadrature:
         assert q.weights @ np.array([3.0, 6.0, 9.0]) == pytest.approx(6.0)
 
 
+def tensor_rule(sizes) -> Quadrature:
+    """An equal-weight tensor rule of the given sizes, as ``tensor_torus`` builds them."""
+    m = math.prod(sizes)
+    return Quadrature(torus_grid(sizes), np.full(m, 1.0 / m), meta={"sizes": list(sizes)})
+
+
+def trig_basis(Q: FrequencySet) -> TrigBasis:
+    return TrigBasis(has_const=(0,) * Q.dim in Q, reps=spaces._pair_representatives(Q))
+
+
+def numeric_verdict(Q: FrequencySet, quad: Quadrature) -> bool:
+    """Whether the quadrature Gram of the real trig basis of a symmetric Q is the identity to 1e-8."""
+    return bool(np.abs(weighted_gram(trig_basis(Q).values_on(quad), quad.weights) - np.eye(len(Q))).max() <= 1e-8)
+
+
+def construction_verdict(Q: FrequencySet, quad: Quadrature) -> bool:
+    """Whether the trig system of Q builds on ``quad`` (on a tensor rule: the difference-set check)."""
+    try:
+        OrthonormalSystem("trig", trig_basis(Q), quad, condition_d=True, freqs=Q)
+    except ValueError as exc:
+        assert "Gram" in str(exc)
+        return False
+    return True
+
+
+@st.composite
+def symmetric_set_and_sizes(draw):
+    dim = draw(st.integers(1, 3))
+    vecs = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim), min_size=1, max_size=8))
+    Q = freqset(set(vecs) | {tuple(-v for v in k) for k in vecs}, dim)
+    return Q, draw(st.lists(st.integers(1, 9), min_size=dim, max_size=dim))
+
+
+class TestDifferenceSetExactness:
+    CASES = [
+        (freqset([(0, 0), (1, 0), (-1, 0), (0, 3), (0, -3)]), [3, 4], True),  # s_2 = 4 <= 2 * 3
+        (freqset([(0, 0), (1, 0), (-1, 0), (0, 3), (0, -3)]), [3, 6], False),  # 3 = -3 mod 6
+        (freqset([(0, 0), (1, 0), (-1, 0), (0, 3), (0, -3)]), [2, 7], False),  # 1 = -1 mod 2
+        (build_hyperbolic_cross(2, 2), [7, 7], True),
+        (build_hyperbolic_cross(2, 2), [6, 7], False),
+        (freqset([(0,), (4,), (-4,)]), [3], True),  # 0, 4, -4 = 0, 1, 2 mod 3
+        (freqset([(0,), (4,), (-4,)]), [4], False),
+        (build_box([2]), [5], True),
+        (build_box([2]), [4], False),
+        (build_hyperbolic_cross(2, 3), [7, 7, 7], True),
+        (build_hyperbolic_cross(2, 3), [7, 4, 7], False),
+    ]
+
+    @pytest.mark.parametrize("Q,sizes,exact", CASES, ids=lambda v: str(v) if isinstance(v, (list, bool)) else f"{v.dim}d-{len(v)}")
+    def test_verdict_on_chosen_rules(self, Q, sizes, exact):
+        quad = tensor_rule(sizes)
+        assert construction_verdict(Q, quad) is exact
+        assert numeric_verdict(Q, quad) is exact
+
+    @given(symmetric_set_and_sizes())
+    def test_verdict_equals_the_numeric_gram_check(self, case):
+        Q, sizes = case
+        quad = tensor_rule(sizes)
+        assert construction_verdict(Q, quad) == numeric_verdict(Q, quad)
+
+    def test_rule_that_does_not_match_is_rejected(self):
+        Q = build_hyperbolic_cross(2, 2)
+        with pytest.raises(ValueError, match="does not match"):
+            OrthonormalSystem("trig", trig_basis(Q), tensor_rule([7, 7, 1]), freqs=Q)
+        quad = tensor_rule([7, 7])
+        quad.meta["sizes"] = [7, 8]
+        with pytest.raises(ValueError, match="does not match"):
+            OrthonormalSystem("trig", trig_basis(Q), quad, freqs=Q)
+
+    def test_unequal_weights_are_rejected(self):
+        Q = build_hyperbolic_cross(2, 2)
+        quad = tensor_rule([7, 7])
+        quad.weights = quad.weights * np.linspace(0.5, 1.5, quad.size)
+        with pytest.raises(ValueError):
+            OrthonormalSystem("trig", trig_basis(Q), quad, freqs=Q)
+
+
 class TestPointSet:
     def test_wraps_mod_2pi(self):
         ps = PointSet(np.array([[7.0], [-1.0]]))
@@ -375,6 +453,29 @@ class TestOrthonormalSystems:
         quad = Quadrature(torus_grid(sizes), np.full(math.prod(sizes), 1.0 / math.prod(sizes)), meta={"sizes": sizes})
         with pytest.raises(ValueError, match="Gram"):
             OrthonormalSystem("coarse", basis, quad)
+
+    @pytest.mark.parametrize("sizes", [[6, 7], [7, 6], [4, 4]])
+    def test_tensor_rule_too_coarse_fails_the_difference_set_check(self, sizes):
+        # the same rules with freqs set: each aliases two frequencies of the cross
+        Q = build_hyperbolic_cross(2, 2)
+        with pytest.raises(ValueError, match="Gram"):
+            OrthonormalSystem("coarse", real_trig_system(Q).basis, tensor_rule(sizes), freqs=Q)
+
+    def test_trig_system_on_its_tensor_rule_skips_the_gram_product(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spaces, "weighted_gram", lambda *a: calls.append(a) or weighted_gram(*a))
+        real_trig_system(build_hyperbolic_cross(4, 2))
+        assert calls == []
+
+    def test_other_systems_keep_the_gram_product(self, cross2, trig7, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spaces, "weighted_gram", lambda *a: calls.append(a) or weighted_gram(*a))
+        real_trig_system_on_grid(cross2, 16)
+        assert len(calls) == 1
+        tabulated_system(trig7.quad_values)
+        assert len(calls) == 2
+        OrthonormalSystem("no freqs", trig7.basis, trig7.quadrature)
+        assert len(calls) == 3
 
     def test_discrete_rule_table_is_evaluated(self, cross2, monkeypatch):
         seen = []
