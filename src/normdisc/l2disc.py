@@ -274,11 +274,12 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
     identity (sum_j v_j v_j^T = I).  The default candidates, the nodes of
     the system's equal-weight quadrature, do so by construction of the
     system; explicit candidates are checked numerically to 1e-8.  Runs
-    ceil(d N) barrier steps keeping all eigenvalues of
-    the running matrix between moving barriers l and u; each step adds one
-    reweighted rank-one candidate chosen so both barrier potentials stay
-    controlled.  Output weights are normalized so the lower discretization
-    constant is exactly one, the upper at most
+    ceil(d N) barrier steps keeping all eigenvalues of the running matrix
+    between moving barriers l and u; each step adds one reweighted rank-one
+    candidate chosen so both barrier potentials stay controlled, and
+    candidates whose gaps agree to ``BSS_TIE_TOL`` go to the lowest index.
+    Output weights are normalized so the lower discretization constant is
+    exactly one, the upper at most
     ``(d + 1 + 2 sqrt(d)) / (d + 1 - 2 sqrt(d))`` (9 at d = 4), and the
     support at most ceil(d N).
 
