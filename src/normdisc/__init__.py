@@ -9,12 +9,10 @@ from .spaces import (
     Quadrature,
     TrigPolynomial,
     build_box,
-    build_dyadic_block,
     build_hyperbolic_cross,
     freqset,
     grid_P,
     real_trig_system,
-    theta,
 )
 
 __all__ = [
@@ -25,10 +23,8 @@ __all__ = [
     "Quadrature",
     "TrigPolynomial",
     "build_box",
-    "build_dyadic_block",
     "build_hyperbolic_cross",
     "freqset",
     "grid_P",
     "real_trig_system",
-    "theta",
 ]

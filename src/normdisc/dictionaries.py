@@ -37,6 +37,7 @@ from .spaces import (
     FrequencySet,
     MissingConstant,
     OrthonormalSystem,
+    as_points,
     grid_P,
     torus_grid,
 )
@@ -49,8 +50,6 @@ class Dictionary:
     kind: str
     field: str  # "real" | "complex"
     atoms: np.ndarray
-    labels: tuple = ()
-    shifts: np.ndarray | None = None  # (n_atoms, d) shift points when applicable
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -72,7 +71,6 @@ class Dictionary:
 @dataclass(frozen=True)
 class SelectResult:
     index: int
-    inner: complex
     score: float
 
 
@@ -94,7 +92,7 @@ def argmax_inner_product(dictionary: Dictionary, residual: np.ndarray, weakness:
     if weakness < 1.0 and scores[best] > 0:
         thresh = weakness * scores[best]
         best = int(np.nonzero(scores >= thresh - 1e-15 * abs(thresh))[0][0])
-    return SelectResult(best, complex(ips[best]), float(scores[best]))
+    return SelectResult(best, float(scores[best]))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +146,6 @@ def exponential_dict(Q: FrequencySet) -> Dictionary:
         kind="exponentials",
         field="complex",
         atoms=np.eye(n, dtype=complex),
-        labels=Q.freqs,
     )
 
 
@@ -162,16 +159,11 @@ def shifted_kernel_dict(Q: FrequencySet, points: np.ndarray | None = None) -> Di
     """
     if points is None:
         points = grid_P(Q.max_abs).points
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points.reshape(-1, 1)
-    atoms = Q.characters(points).conj() / math.sqrt(len(Q))
+    atoms = Q.characters(as_points(points, Q.dim)).conj() / math.sqrt(len(Q))
     return Dictionary(
         kind="kernel-translates",
         field="complex",
         atoms=atoms,
-        labels=tuple(range(points.shape[0])),
-        shifts=points,
     )
 
 
@@ -181,13 +173,11 @@ def kernel_shift_dict(system: OrthonormalSystem, points: np.ndarray) -> Dictiona
     Under condition D (christoffel identically N) every atom has unit norm,
     and <f, atom_y> = f(y)/sqrt(N).
     """
-    atoms = system.evaluate(np.asarray(points, dtype=float)).T * (1.0 / math.sqrt(system.size))
+    atoms = system.evaluate(points).T * (1.0 / math.sqrt(system.size))
     return Dictionary(
         kind="kernel-shifts",
         field="real",
         atoms=atoms,
-        labels=tuple(range(atoms.shape[1])),
-        shifts=np.asarray(points, dtype=float).reshape(atoms.shape[1], -1),
     )
 
 
@@ -202,15 +192,12 @@ def scaled_kernel_dict(system: OrthonormalSystem, points: np.ndarray | None = No
         raise MissingConstant("scaled kernel atoms need k2")
     if points is None:
         points = DeltaNet.build(system.dim, choose_delta0(system)).points
-    points = np.asarray(points, dtype=float)
     scale = 1.0 / math.sqrt(system.constants.k2 * system.size)
     atoms = system.evaluate(points).T * scale
     return Dictionary(
         kind="scaled-kernel-shifts",
         field="real",
         atoms=atoms,
-        labels=tuple(range(atoms.shape[1])),
-        shifts=points.reshape(atoms.shape[1], -1),
         meta={"scale": scale},
     )
 
@@ -228,13 +215,10 @@ def scaled_basis_dict(system: OrthonormalSystem) -> Dictionary:
     atoms = np.empty((n, 2 * n))
     atoms[:, 0::2] = eye
     atoms[:, 1::2] = -eye
-    labels = tuple(x for i in range(n) for x in (i, ~i))  # ~i marks the negated copy
-    return Dictionary(kind="scaled-basis-signed", field="real", atoms=atoms, labels=labels, meta={"scale": scale})
+    return Dictionary(kind="scaled-basis-signed", field="real", atoms=atoms, meta={"scale": scale})
 
 
 def symmetrize(d: Dictionary) -> Dictionary:
     """Append the negated copy of every atom (for signed relaxed greedy)."""
     atoms = np.concatenate([d.atoms, -d.atoms], axis=1)
-    labels = tuple(d.labels) + tuple(("neg", lab) for lab in d.labels)
-    shifts = None if d.shifts is None else np.concatenate([d.shifts, d.shifts], axis=0)
-    return Dictionary(kind=d.kind + "-signed", field=d.field, atoms=atoms, labels=labels, shifts=shifts, meta=dict(d.meta))
+    return Dictionary(kind=d.kind + "-signed", field=d.field, atoms=atoms, meta=dict(d.meta))

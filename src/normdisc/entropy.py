@@ -66,11 +66,6 @@ def entropy_curve_trig(size: int, n: int, c4: float = 1.0) -> EntropyCurve:
     return EntropyCurve(dimension_proxy=float(size), log_factor=float(n) ** 1.5, constant=c4, field="complex")
 
 
-def entropy_curve_general(N: int, c: float = 1.0, field: str = "complex") -> EntropyCurve:
-    """Curve with the (log N)^(3/2) factor of a generic N-dimensional system."""
-    return EntropyCurve(dimension_proxy=float(N), log_factor=math.log(max(N, 3)) ** 1.5, constant=c, field=field)
-
-
 def conditional_entropy_curve(N: int, big_b: float) -> EntropyCurve:
     """Curve B * min(N/k, 2^(-k/N)) assumed for a conditional budget."""
     return EntropyCurve(dimension_proxy=float(N), log_factor=1.0, constant=big_b, field="real")

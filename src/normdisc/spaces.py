@@ -134,12 +134,6 @@ class FrequencySet:
             return 0
         return int(np.abs(self.array).sum(axis=1).max())
 
-    def subset_of_box(self, n_vec) -> bool:
-        n_vec = np.asarray(n_vec, dtype=np.int64).reshape(-1)
-        if n_vec.size != self.dim:
-            raise ValueError("box size has wrong dimension")
-        return bool((self.max_abs <= n_vec).all())
-
     def to_json(self) -> str:
         return json.dumps({"dim": self.dim, "freqs": [list(k) for k in self.freqs]})
 
@@ -171,22 +165,11 @@ def build_box(n_vec, dim: int | None = None) -> FrequencySet:
 
 def _dyadic_axis(s: int) -> list[int]:
     # |k| in [floor(2^(s-1)), 2^s)
-    if s < 0:
-        raise ValueError("dyadic indices must be nonnegative")
     hi = 1 << s
     lo = (1 << (s - 1)) if s >= 1 else 0
     if lo == 0:
         return list(range(-(hi - 1), hi))
     return list(range(-(hi - 1), -(lo - 1))) + list(range(lo, hi))
-
-
-def build_dyadic_block(s, dim: int | None = None) -> FrequencySet:
-    """Dyadic block: all k with floor(2^(s_j - 1)) <= |k_j| < 2^(s_j) per axis."""
-    s = tuple(int(v) for v in np.atleast_1d(np.asarray(s, dtype=np.int64)))
-    if dim is not None and dim != len(s):
-        raise ValueError(f"dim={dim} does not match len(s)={len(s)}")
-    freqs = tuple(itertools.product(*[_dyadic_axis(v) for v in s]))
-    return FrequencySet(len(s), freqs)
 
 
 def build_hyperbolic_cross(n: int, dim: int) -> FrequencySet:
@@ -262,12 +245,6 @@ class PointSet:
         return cls(np.asarray(obj["points"], dtype=float), None if w is None else np.asarray(w, dtype=float))
 
 
-def theta(n_vec) -> int:
-    """Size of the exact grid for the box Pi(N): prod_j (2 N_j + 1)."""
-    n_vec = np.atleast_1d(np.asarray(n_vec, dtype=np.int64))
-    return int(np.prod(2 * n_vec + 1))
-
-
 def torus_grid(sizes) -> np.ndarray:
     """The (prod(sizes), d) grid of nodes 2*pi*n_j/sizes_j, rows in the C order of a ``sizes`` array."""
     axes = [TWO_PI * np.arange(s) / s for s in sizes]
@@ -329,10 +306,7 @@ class Quadrature:
 
     @classmethod
     def discrete_uniform(cls, points) -> "Quadrature":
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points.reshape(-1, 1)
-        m = points.shape[0]
+        m = len(points)
         return cls(points, np.full(m, 1.0 / m), meta={"discrete": True})
 
     def axis_spacing(self) -> np.ndarray:
@@ -340,6 +314,12 @@ class Quadrature:
         if sizes is None:
             return np.full(self.dim, TWO_PI / max(2, round(self.size ** (1.0 / self.dim))))
         return np.array([TWO_PI / s for s in sizes])
+
+    def tensor_sizes(self, dim: int) -> list[int]:
+        sizes = self.meta["sizes"]
+        if len(sizes) != dim or math.prod(sizes) != self.size:
+            raise ValueError(f"tensor rule of sizes {sizes} does not match {self.size} nodes in dimension {dim}")
+        return sizes
 
 
 def resolves_products(Q: FrequencySet, quad: Quadrature) -> bool:
@@ -351,9 +331,7 @@ def resolves_products(Q: FrequencySet, quad: Quadrature) -> bool:
     is the identity iff k -> k mod sizes is injective on Q: no rounding, and
     O(|Q| log |Q|) instead of a product over the nodes.
     """
-    sizes = quad.meta["sizes"]
-    if len(sizes) != Q.dim or math.prod(sizes) != quad.size:
-        raise ValueError(f"tensor rule of sizes {sizes} does not match {quad.size} nodes in dimension {Q.dim}")
+    sizes = quad.tensor_sizes(Q.dim)
     if not (quad.weights == 1.0 / quad.size).all():
         raise ValueError("the difference-set check needs the equal weights 1/nodes")
     # k mod sizes as the flat index of its grid cell, in the C order of values_on's grid
@@ -392,11 +370,9 @@ class TrigPolynomial:
         a rule too coarse to separate two frequencies stays exact.  Any
         other rule is evaluated by direct sums.
         """
-        sizes = quad.meta.get("sizes")
-        if sizes is None:
+        if "sizes" not in quad.meta:
             return self.evaluate(quad.nodes)
-        if len(sizes) != self.support.dim or math.prod(sizes) != quad.size:
-            raise ValueError(f"tensor rule of sizes {sizes} does not match {quad.size} nodes in dimension {self.support.dim}")
+        sizes = quad.tensor_sizes(self.support.dim)
         grid = np.zeros(sizes, dtype=complex)
         np.add.at(grid, tuple((self.support.array % sizes).T), self.coeffs)
         # C order of the flattened grid is the node order of torus_grid
@@ -448,22 +424,6 @@ def random_trig_poly(Q: FrequencySet, rng: np.random.Generator, real: bool = Fal
         neg = Q.neg_index
         c = 0.5 * (c + np.conj(c[neg]))
     return TrigPolynomial(Q, c)
-
-
-def reconstruct_on_grid(f: TrigPolynomial, n_vec) -> TrigPolynomial:
-    """Exact reconstruction from samples on grid_P(N) for supp(f) within Pi(N).
-
-    Uses f(x) = theta(N)^{-1} sum_n f(x^n) D_Q(x - x^n), which in coefficient
-    form reads c_k = theta(N)^{-1} sum_n f(x^n) exp(-i <k, x^n>): a DFT of
-    the samples, computed by FFT and read off at k mod (2N + 1).
-    """
-    if not f.support.subset_of_box(n_vec):
-        raise ValueError("support is not contained in the box of the grid")
-    quad = Quadrature.tensor_torus(n_vec, oversample=1)
-    sizes = quad.meta["sizes"]
-    vals = f.values_on(quad)
-    spectrum = np.fft.fftn(vals.reshape(sizes)) / quad.size
-    return TrigPolynomial(f.support, spectrum[tuple((f.support.array % sizes).T)])
 
 
 # ---------------------------------------------------------------------------
@@ -605,19 +565,17 @@ class TrigBasis:
         viewed as one complex (sizes..., R) array, with sqrt2 folded into the
         first factor.  Any other rule is evaluated by ``evaluate``.
         """
-        sizes = quad.meta.get("sizes")
-        if sizes is None or not self.reps:
+        # the empty basis goes first: its rep_array reports dimension 1
+        if "sizes" not in quad.meta or not self.reps:
             return self.evaluate(quad.nodes)
-        dim = self.rep_array.shape[1]
-        if len(sizes) != dim or math.prod(sizes) != quad.size:
-            raise ValueError(f"tensor rule of sizes {sizes} does not match {quad.size} nodes in dimension {dim}")
+        sizes = quad.tensor_sizes(self.rep_array.shape[1])
         out = np.empty((quad.size, self.n_funcs))
         col = int(self.has_const)
         out[:, :col] = 1.0
         # a view: each adjacent cos/sin pair of a row reads as one complex value
         table = out.reshape(*sizes, self.n_funcs)[..., col:].view(complex)
         factors = []  # (s_j, R): exp(i k_j x_j) at the nodes x_j of axis j
-        for j in range(dim):
+        for j in range(len(sizes)):
             axis_nodes = quad.nodes[: math.prod(sizes[j:]) : math.prod(sizes[j + 1 :]), j : j + 1]
             ks, inverse = np.unique(self.rep_array[:, j], return_inverse=True)
             factors.append(FrequencySet(1, tuple((k,) for k in ks.tolist())).characters(axis_nodes)[inverse].T)
@@ -729,15 +687,8 @@ class OrthonormalSystem:
         u = self.evaluate(points)
         return (u * u).sum(axis=1)
 
-    def kernel(self, x, y) -> np.ndarray:
-        """D_N(x, y) = sum_i u_i(x) u_i(y) as an (mx, my) array."""
-        return self.evaluate(x) @ self.evaluate(y).T
-
     def gram(self) -> np.ndarray:
         return weighted_gram(self.quad_values, self.quadrature.weights)
-
-    def span_values(self, coeffs: np.ndarray, points) -> np.ndarray:
-        return self.evaluate(points) @ np.asarray(coeffs, dtype=float)
 
     def span_norm(self, coeffs: np.ndarray, p: float) -> float:
         coeffs = np.asarray(coeffs, dtype=float)

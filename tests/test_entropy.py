@@ -8,7 +8,6 @@ from normdisc.entropy import (
     combine_sigma_to_entropy,
     conditional_entropy_curve,
     empirical_covering,
-    entropy_curve_general,
     entropy_curve_trig,
 )
 
@@ -31,10 +30,6 @@ class TestCurves:
 
     def test_trig_log_factor(self):
         assert entropy_curve_trig(15, 3).bound(1) == pytest.approx(3**1.5 * 15)
-
-    def test_general_log_factor(self):
-        c = entropy_curve_general(20)
-        assert c.log_factor == pytest.approx(math.log(20) ** 1.5)
 
     def test_monotone_decreasing(self):
         c = entropy_curve_trig(7, 2, c4=1.0)

@@ -51,7 +51,7 @@ class TestCertificates:
         w = ps.effective_weights()
         for _ in range(50):
             c = rng.standard_normal(7)
-            q = (w * trig7.span_values(c, ps.points) ** 2).sum() / (c @ c)
+            q = (w * (trig7.evaluate(ps.points) @ c) ** 2).sum() / (c @ c)
             assert cert.lam_min - 1e-10 <= q <= cert.lam_max + 1e-10
 
     def test_weighted_matrix(self, trig7):
@@ -248,7 +248,7 @@ class TestBarrierSparsify:
         res = bss_weighted_sparsify(system, 4.0)
         for _ in range(100):
             c = rng.standard_normal(7)
-            vals = system.span_values(c, res.pointset.points)
+            vals = system.evaluate(res.pointset.points) @ c
             q = (res.pointset.weights * vals**2).sum() / (c @ c)
             assert 1.0 - 1e-9 <= q <= res.ratio + 1e-9
 

@@ -17,7 +17,6 @@ from normdisc.spaces import (
     TrigBasis,
     TrigPolynomial,
     build_box,
-    build_dyadic_block,
     build_hyperbolic_cross,
     dirichlet_poly,
     freqset,
@@ -26,9 +25,7 @@ from normdisc.spaces import (
     random_trig_poly,
     real_trig_system,
     real_trig_system_on_grid,
-    reconstruct_on_grid,
     tabulated_system,
-    theta,
     torus_grid,
     translate_poly,
     weighted_gram,
@@ -43,24 +40,23 @@ class TestFrequencySets:
 
     def test_box_2d_size(self):
         assert len(build_box([2, 3])) == 5 * 7
-        assert theta([2, 3]) == 35
+        assert grid_P([2, 3]).m == 35
 
     def test_dyadic_blocks(self):
-        assert build_dyadic_block([0]).freqs == ((0,),)
-        assert build_dyadic_block([1]).freqs == ((-1,), (1,))
-        assert build_dyadic_block([2]).freqs == ((-3,), (-2,), (2,), (3,))
-        assert set(build_dyadic_block([1, 0])) == {(-1, 0), (1, 0)}
+        assert spaces._dyadic_axis(0) == [0]
+        assert spaces._dyadic_axis(1) == [-1, 1]
+        assert spaces._dyadic_axis(2) == [-3, -2, 2, 3]
+        # the shell of the level-1 cross in 2d is the union of the blocks (1, 0) and (0, 1)
+        assert set(build_hyperbolic_cross(1, 2)) - set(build_hyperbolic_cross(0, 2)) == {(-1, 0), (1, 0), (0, -1), (0, 1)}
 
     def test_dyadic_blocks_partition_box(self):
-        # blocks with s <= n tile the nonneg box [-(2^n - 1), 2^n - 1]
+        # blocks with s <= n tile the box [-(2^n - 1), 2^n - 1], and the shells of the 1d crosses are the blocks
         n = 3
-        union = set()
-        total = 0
-        for s in range(n + 1):
-            b = build_dyadic_block([s])
-            total += len(b)
-            union.update(b.freqs)
-        assert total == len(union) == 2 ** (n + 1) - 1
+        blocks = [spaces._dyadic_axis(s) for s in range(n + 1)]
+        assert sum(map(len, blocks)) == len(set().union(*blocks)) == 2 ** (n + 1) - 1
+        for s in range(1, n + 1):
+            shell = set(build_hyperbolic_cross(s, 1)) - set(build_hyperbolic_cross(s - 1, 1))
+            assert shell == {(k,) for k in blocks[s]}
 
     @pytest.mark.parametrize("n,size", [(0, 1), (1, 3), (2, 7), (3, 15), (4, 31)])
     def test_hyperbolic_cross_1d_sizes(self, n, size):
@@ -133,20 +129,6 @@ class TestTrigPolynomials:
 
 
 class TestGridIdentities:
-    @pytest.mark.parametrize("n_vec", [[1], [3], [1, 1], [2, 1], [1, 2, 1]])
-    def test_reconstruction_exact(self, n_vec, rng):
-        q = build_box(n_vec)
-        f = random_trig_poly(q, rng)
-        g = reconstruct_on_grid(f, n_vec)
-        assert np.abs(f.coeffs - g.coeffs).max() < 1e-10
-
-    def test_reconstruction_subset_support(self, rng):
-        # support strictly inside the box still reconstructs
-        q = build_hyperbolic_cross(2, 1)
-        f = random_trig_poly(q, rng)
-        g = reconstruct_on_grid(f, [4])
-        assert np.abs(f.coeffs - g.coeffs).max() < 1e-10
-
     @pytest.mark.parametrize("n_vec", [[2], [1, 1]])
     def test_mean_square_exact_on_grid(self, n_vec, rng):
         q = build_box(n_vec)
@@ -157,8 +139,8 @@ class TestGridIdentities:
             assert (np.abs(vals) ** 2).mean() == pytest.approx(f.l2_norm() ** 2, abs=1e-10)
 
     def test_grid_size(self):
-        assert grid_P([3]).m == theta([3]) == 7
-        assert grid_P([1, 2]).m == theta([1, 2]) == 15
+        assert grid_P([3]).m == 7
+        assert grid_P([1, 2]).m == 15
 
     def test_mean_abs_not_exact_on_grid(self):
         # the analogous q=1 identity fails: 1 + e^{ix} on the 3-point grid
@@ -336,14 +318,20 @@ class TestDifferenceSetExactness:
         quad = tensor_rule(sizes)
         assert construction_verdict(Q, quad) == numeric_verdict(Q, quad)
 
-    def test_rule_that_does_not_match_is_rejected(self):
+    def test_rule_that_does_not_match_is_rejected(self, rng):
+        # every entry point of a tensor rule: a rule of another dimension, and sizes that miscount the nodes
         Q = build_hyperbolic_cross(2, 2)
-        with pytest.raises(ValueError, match="does not match"):
-            OrthonormalSystem("trig", trig_basis(Q), tensor_rule([7, 7, 1]), freqs=Q)
-        quad = tensor_rule([7, 7])
-        quad.meta["sizes"] = [7, 8]
-        with pytest.raises(ValueError, match="does not match"):
-            OrthonormalSystem("trig", trig_basis(Q), quad, freqs=Q)
+        miscounted = tensor_rule([7, 7])
+        miscounted.meta["sizes"] = [7, 8]
+        entry_points = [
+            lambda quad: OrthonormalSystem("trig", trig_basis(Q), quad, freqs=Q),  # resolves_products
+            random_trig_poly(Q, rng).values_on,
+            trig_basis(Q).values_on,
+        ]
+        for entry in entry_points:
+            for quad in (tensor_rule([7, 7, 1]), miscounted):
+                with pytest.raises(ValueError, match="tensor rule of sizes .* does not match"):
+                    entry(quad)
 
     def test_unequal_weights_are_rejected(self):
         Q = build_hyperbolic_cross(2, 2)
@@ -389,7 +377,7 @@ class TestOrthonormalSystems:
     def test_kernel_matches_dirichlet(self, trig7, cross2):
         x = np.array([[0.8]])
         y = np.array([[0.15]])
-        k = trig7.kernel(x, y)[0, 0]
+        k = (trig7.evaluate(x) @ trig7.evaluate(y).T)[0, 0]
         d = dirichlet_poly(cross2).evaluate(np.array([0.65])).real
         assert k == pytest.approx(d, abs=1e-10)
 
@@ -497,3 +485,12 @@ class TestOrthonormalSystems:
         c = trig7.constants
         assert c.k2 == 2.0 and c.t == 1.0 and c.alpha == 1.0 and c.beta == 1.0
         assert c.k1 == pytest.approx(math.sqrt(2) * 1 * 3 / 7)
+
+
+def test_every_public_name_resolves():
+    import normdisc
+
+    assert [name for name in normdisc.__all__ if not hasattr(normdisc, name)] == []
+    namespace = {}
+    exec("from normdisc import *", namespace)
+    assert set(normdisc.__all__) <= namespace.keys()
