@@ -8,16 +8,14 @@ sit against the guaranteed envelopes.
 import argparse
 import sys
 
-from normdisc.greedy import sigma_m_curve
+from normdisc.greedy import SIGMA_BALLS, sigma_m_curve
 from normdisc.spaces import build_hyperbolic_cross, real_trig_system
-
-BALLS = ("coeff-l1", "kernel-l2", "basis-sup", "basis-sup-2stage")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=2)
-    ap.add_argument("--balls", default=",".join(BALLS))
+    ap.add_argument("--balls", default=",".join(SIGMA_BALLS))
     ap.add_argument("--m", default="1,2,4,8,16,32")
     ap.add_argument("--samples", type=int, default=8)
     ap.add_argument("--out", default="-")

@@ -41,6 +41,7 @@ STOP_TOL = 1e-14
 BOUND_SLACK = 1e-10  # rounding allowance of GreedyRun.bound_violations
 OGA_RIDGE = 1e-12  # diagonal added to the Gram of oga's normal equations
 SIGMA_MIX = 40  # atoms in each convex combination sampled by sigma_m_curve
+SIGMA_BALLS = ("coeff-l1", "kernel-l2", "basis-sup", "basis-sup-2stage")  # the balls of sigma_m_curve
 
 
 class GreedyStepInfeasible(RuntimeError):
@@ -351,17 +352,12 @@ class SigmaPoint:
     n_samples: int
 
 
-def _convex_weights(rng: np.random.Generator, k: int) -> np.ndarray:
-    a = rng.dirichlet(np.ones(k))
-    return a
-
-
 def _sample_coeff_ball(system: OrthonormalSystem, rng, size: int):
     """Random certified element of sqrt(K2 N) * A1(signed scaled basis)."""
     n = system.size
     idx = rng.integers(0, n, size=size)
     signs = rng.choice([-1.0, 1.0], size=size)
-    a = _convex_weights(rng, size)
+    a = rng.dirichlet(np.ones(size))
     coeffs = np.zeros(n)
     scale = math.sqrt(system.constants.k2 * n)
     np.add.at(coeffs, idx, a * signs / math.sqrt(system.constants.k2) * scale)
@@ -371,7 +367,7 @@ def _sample_coeff_ball(system: OrthonormalSystem, rng, size: int):
 def _sample_kernel_ball(system: OrthonormalSystem, d: Dictionary, rng, size: int):
     """Random certified element of sqrt(K2 N) * A1(signed kernel atoms)."""
     idx = rng.integers(0, d.n_atoms, size=size)
-    a = _convex_weights(rng, size)
+    a = rng.dirichlet(np.ones(size))
     scale = math.sqrt(system.constants.k2 * system.size)
     return scale * (d.atoms[:, idx] @ a)
 
@@ -392,6 +388,8 @@ def sigma_m_curve(system: OrthonormalSystem, ball: str, m_list, n_samples: int =
     * ``"basis-sup-2stage"`` same ball, two-stage pipeline; curve
       (K2 N / m) (log N)^(1/2), no hard bound.
     """
+    if ball not in SIGMA_BALLS:
+        raise ValueError(f"unknown ball {ball!r}")
     rng = np.random.default_rng(seed)
     n = system.size
     k2 = system.constants.k2
@@ -407,7 +405,7 @@ def sigma_m_curve(system: OrthonormalSystem, ball: str, m_list, n_samples: int =
         res = []
         for s in range(n_samples):
             if ball == "coeff-l1":
-                a = _convex_weights(rng, SIGMA_MIX)
+                a = rng.dirichlet(np.ones(SIGMA_MIX))
                 idx = rng.integers(0, len(system.freqs), size=SIGMA_MIX)
                 phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=SIGMA_MIX))
                 c = np.zeros(len(system.freqs), dtype=complex)
@@ -425,12 +423,10 @@ def sigma_m_curve(system: OrthonormalSystem, ball: str, m_list, n_samples: int =
                 f = _sample_coeff_ball(system, rng, SIGMA_MIX)
                 out = sup_norm_sparsify(system, f, steps=m)
                 res.append(out.sup_residual)
-            elif ball == "basis-sup-2stage":
+            else:
                 f = _sample_coeff_ball(system, rng, SIGMA_MIX)
                 out = two_stage_sup_approx(system, f, steps=m)
                 res.append(out.sup_residual)
-            else:
-                raise ValueError(f"unknown ball {ball!r}")
         if ball == "coeff-l1":
             curve, hard = min(1.0, math.sqrt(n / m)), 1.0 / math.sqrt(1 + m)
         elif ball == "kernel-l2":

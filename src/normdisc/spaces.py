@@ -520,26 +520,40 @@ class SystemConstants:
 
 @dataclass(frozen=True)
 class TrigBasis:
-    """Real orthonormal trigonometric basis 1, sqrt2 cos<k,.>, sqrt2 sin<k,.>.
+    """Real orthonormal trigonometric basis 1, sqrt2 cos<k,.>, sqrt2 sin<k,.> of T(Q).
 
-    One representative per pair {k, -k}; the representative has a positive
-    leading nonzero coordinate.  Column order: constant first (when present),
-    then cos/sin interleaved per representative in sorted order, so each
-    cos/sin pair is the real and imaginary part of sqrt2 exp(i <k, x>).
+    ``freqs`` is Q, nonempty and symmetric.  One representative per pair
+    {k, -k}; the representative has a positive leading nonzero coordinate.
+    Column order: constant first (when present), then cos/sin interleaved
+    per representative in sorted order, so each cos/sin pair is the real
+    and imaginary part of sqrt2 exp(i <k, x>).
     """
 
-    has_const: bool
-    reps: tuple[Vec, ...]
+    freqs: FrequencySet
+
+    def __post_init__(self):
+        if not self.freqs.symmetric:
+            raise ValueError("real trigonometric system needs a symmetric frequency set")
+        if len(self.freqs) == 0:
+            raise ValueError("frequency set is empty")
+
+    @cached_property
+    def has_const(self) -> bool:
+        return (0,) * self.freqs.dim in self.freqs
+
+    @cached_property
+    def reps(self) -> tuple[Vec, ...]:
+        # Q is sorted, so its members above zero are the representatives, sorted
+        zero = (0,) * self.freqs.dim
+        return tuple(k for k in self.freqs if k > zero)
 
     @cached_property
     def rep_array(self) -> np.ndarray:
-        if not self.reps:
-            return np.zeros((0, 1), dtype=np.int64)
-        return np.asarray(self.reps, dtype=np.int64)
+        return np.asarray(self.reps, dtype=np.int64).reshape(-1, self.freqs.dim)
 
     @property
     def n_funcs(self) -> int:
-        return int(self.has_const) + 2 * len(self.reps)
+        return len(self.freqs)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         m = points.shape[0]
@@ -565,10 +579,9 @@ class TrigBasis:
         viewed as one complex (sizes..., R) array, with sqrt2 folded into the
         first factor.  Any other rule is evaluated by ``evaluate``.
         """
-        # the empty basis goes first: its rep_array reports dimension 1
-        if "sizes" not in quad.meta or not self.reps:
+        if "sizes" not in quad.meta:
             return self.evaluate(quad.nodes)
-        sizes = quad.tensor_sizes(self.rep_array.shape[1])
+        sizes = quad.tensor_sizes(self.freqs.dim)
         out = np.empty((quad.size, self.n_funcs))
         col = int(self.has_const)
         out[:, :col] = 1.0
@@ -634,23 +647,22 @@ class OrthonormalSystem:
 
     The system lives on the torus, or on the finite point domain of a
     discrete quadrature (``quadrature.meta["discrete"]``).  Orthonormality
-    is verified at construction.  A trigonometric system (``freqs``, the set
-    its basis spans) on a tensor rule (``quadrature.meta["sizes"]``) is
-    checked exactly on the difference set, by :func:`resolves_products`;
-    on every other rule, and for every tabulated system, the quadrature
-    Gram matrix (``weighted_gram``) must equal the identity to 1e-8.  The
-    value table is built either way: when ``condition_d`` is set the
-    christoffel function w(x) = sum_i u_i(x)^2 must be N to 1e-8 at every
-    node; when the constant t is declared it must satisfy w(x) <= N t^2 at
-    the nodes.
+    is verified at construction.  A trigonometric system (a
+    :class:`TrigBasis`, spanning T(Q) for ``freqs`` = Q) on a tensor rule
+    (``quadrature.meta["sizes"]``) is checked exactly on the difference
+    set, by :func:`resolves_products`; on every other rule, and for every
+    tabulated system, the quadrature Gram matrix (``weighted_gram``) must
+    equal the identity to 1e-8.  When the constant t is declared, the
+    christoffel function w(x) = sum_i u_i(x)^2 must satisfy w <= N t^2 at
+    the nodes; w = N is an identity for a trig basis (``condition_d``), so
+    a trig system on a tensor rule is checked by algebra on Q alone and
+    its value table ``quad_values`` is built on first read.
     """
 
     name: str
     basis: TrigBasis | TabulatedBasis
     quadrature: Quadrature
     constants: SystemConstants = field(default_factory=SystemConstants)
-    condition_d: bool = False
-    freqs: FrequencySet | None = None
 
     def __post_init__(self):
         if self.freqs is not None and "sizes" in self.quadrature.meta:
@@ -659,13 +671,28 @@ class OrthonormalSystem:
             exact = np.abs(self.gram() - np.eye(self.size)).max() <= 1e-8
         if not exact:
             raise ValueError(f"{self.name}: quadrature Gram is not the identity")
-        u = self.quad_values
-        w = np.einsum("ij,ij->i", u, u)
-        if self.condition_d and np.abs(w - self.size).max() > 1e-8:
-            raise ValueError(f"{self.name}: christoffel function is not constant N")
         t = self.constants.t
-        if t is not None and w.max() > self.size * t**2 + 1e-8:
+        if t is not None and self._christoffel_range[1] > self.size * t**2 + 1e-8:
             raise ValueError(f"{self.name}: christoffel function exceeds N t^2")
+
+    @property
+    def freqs(self) -> FrequencySet | None:
+        """Q of a trigonometric basis; None for a tabulated one."""
+        return self.basis.freqs if isinstance(self.basis, TrigBasis) else None
+
+    @cached_property
+    def _christoffel_range(self) -> tuple[float, float]:
+        """Min and max of w at the nodes: N and N for a trig basis, else read off the table."""
+        if self.freqs is not None:
+            return self.size, self.size
+        w = np.einsum("ij,ij->i", self.quad_values, self.quad_values)
+        return w.min(), w.max()
+
+    @property
+    def condition_d(self) -> bool:
+        """Condition D: w(x) = N, to 1e-8 at the nodes."""
+        lo, hi = self._christoffel_range
+        return bool(max(hi - self.size, self.size - lo) <= 1e-8)
 
     @property
     def size(self) -> int:
@@ -697,19 +724,9 @@ class OrthonormalSystem:
         return norm_values_lp(self.quad_values @ coeffs, self.quadrature.weights, p)
 
 
-def _pair_representatives(Q: FrequencySet) -> tuple[Vec, ...]:
-    reps = set()
-    zero = (0,) * Q.dim
-    for k in Q.freqs:
-        if k == zero:
-            continue
-        reps.add(max(k, tuple(-v for v in k)))
-    return tuple(sorted(reps))
-
-
-def _trig_constants(Q: FrequencySet, n: int) -> SystemConstants:
+def _trig_constants(Q: FrequencySet) -> SystemConstants:
     has_osc = Q.max_l1 > 0
-    k1 = math.sqrt(2.0) * Q.dim * Q.max_l1 / n if has_osc else 0.0
+    k1 = math.sqrt(2.0) * Q.dim * Q.max_l1 / len(Q) if has_osc else 0.0
     return SystemConstants(
         k1=k1,
         k2=2.0 if has_osc else 1.0,
@@ -721,37 +738,27 @@ def _trig_constants(Q: FrequencySet, n: int) -> SystemConstants:
     )
 
 
-def _trig_system(Q: FrequencySet, quad: Quadrature, name: str) -> OrthonormalSystem:
-    # one function per frequency: the constant, and a cos/sin pair per {k, -k} of a symmetric Q
-    basis = TrigBasis(has_const=(0,) * Q.dim in Q.index, reps=_pair_representatives(Q))
-    return OrthonormalSystem(name=name, basis=basis, quadrature=quad, constants=_trig_constants(Q, len(Q)), condition_d=True, freqs=Q)
-
-
 def real_trig_system(Q: FrequencySet, oversample: int = 4) -> OrthonormalSystem:
     """The real orthonormal trigonometric system spanning T(Q) on the torus.
 
-    Requires a symmetric Q.  The system satisfies condition D exactly:
-    w(x) = |Q| for all x.
+    Requires a nonempty symmetric Q.  The system satisfies condition D
+    exactly: w(x) = |Q| for all x.
     """
-    if not Q.symmetric:
-        raise ValueError("real trigonometric system needs a symmetric frequency set")
-    if len(Q) == 0:
-        raise ValueError("frequency set is empty")
-    return _trig_system(Q, Quadrature.tensor_torus(Q.max_abs, oversample=oversample), f"trig[{Q.dim}d,N={len(Q)}]")
+    basis = TrigBasis(Q)
+    quad = Quadrature.tensor_torus(Q.max_abs, oversample=oversample)
+    return OrthonormalSystem(f"trig[{Q.dim}d,N={len(Q)}]", basis, quad, _trig_constants(Q))
 
 
 def real_trig_system_on_grid(Q: FrequencySet, points_per_axis: int) -> OrthonormalSystem:
     """The same trigonometric system restricted to a uniform grid domain.
 
-    The grid must resolve all pairwise frequency differences, i.e.
-    ``points_per_axis > 2 * max_j |k_j|``; otherwise the Gram check fails.
+    The grid must resolve all pairwise frequency differences: the Gram
+    check fails unless k -> k mod points_per_axis is injective on Q.
+    ``points_per_axis > 2 * max_j |k_j|`` is sufficient, not necessary.
     """
-    if not Q.symmetric:
-        raise ValueError("real trigonometric system needs a symmetric frequency set")
-    if points_per_axis <= 2 * int(Q.max_abs.max(initial=0)):
-        raise ValueError("grid too coarse for orthonormality of the system")
+    basis = TrigBasis(Q)
     quad = Quadrature.discrete_uniform(torus_grid([points_per_axis] * Q.dim))
-    return _trig_system(Q, quad, f"trig-grid[{Q.dim}d,N={len(Q)},M={quad.size}]")
+    return OrthonormalSystem(f"trig-grid[{Q.dim}d,N={len(Q)},M={quad.size}]", basis, quad, _trig_constants(Q))
 
 
 def tabulated_system(values: np.ndarray, points: np.ndarray | None = None) -> OrthonormalSystem:
@@ -775,11 +782,4 @@ def tabulated_system(values: np.ndarray, points: np.ndarray | None = None) -> Or
         k2=float((values**2).max()),
         t=float(math.sqrt(max(w.max() / n, 1e-300))),
     )
-    return OrthonormalSystem(
-        name="tabulated",
-        basis=basis,
-        quadrature=quad,
-        constants=const,
-        condition_d=bool(np.abs(w - n).max() <= 1e-8),
-        freqs=None,
-    )
+    return OrthonormalSystem(name="tabulated", basis=basis, quadrature=quad, constants=const)

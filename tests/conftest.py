@@ -1,3 +1,8 @@
+import os
+
+# one BLAS thread, as the benchmark runs: the L1 falsifier's many small products stall on two threads beside another busy process
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 from hypothesis import settings

@@ -231,5 +231,10 @@ class TestSigmaCurves:
                 assert p.median_residual <= p.curve
 
     def test_unknown_ball(self, trig7):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown ball 'nope'"):
             sigma_m_curve(trig7, "nope", [1])
+
+    def test_unknown_ball_with_no_work(self, trig7):
+        # checked before any m is run, so an empty m list is no way round it
+        with pytest.raises(ValueError, match="unknown ball 'bogus'"):
+            sigma_m_curve(trig7, "bogus", [])

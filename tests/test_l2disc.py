@@ -23,6 +23,7 @@ from normdisc.spaces import (
     OrthonormalSystem,
     PointSet,
     Quadrature,
+    TrigBasis,
     build_box,
     build_hyperbolic_cross,
     grid_P,
@@ -278,7 +279,7 @@ class TestBarrierSparsify:
         # the same nodes without "sizes": the table comes from evaluate, off by ~1e-14
         system = real_trig_system(build_hyperbolic_cross(3, 2))
         quad = Quadrature(system.quadrature.nodes, system.quadrature.weights)
-        direct = OrthonormalSystem("direct", system.basis, quad, system.constants, condition_d=True)
+        direct = OrthonormalSystem("direct", system.basis, quad, system.constants)
         a = bss_weighted_sparsify(system, 4.0).pointset
         b = bss_weighted_sparsify(direct, 4.0).pointset
         assert np.array_equal(a.points, b.points)
@@ -290,6 +291,15 @@ class TestBarrierSparsify:
         monkeypatch.setattr(l2disc, "weighted_gram", lambda *a: calls.append(a) or weighted_gram(*a))
         bss_weighted_sparsify(system, 4.0)
         assert calls == []  # the system's own nodes: its construction proved them exact
+
+    def test_default_candidates_build_the_table_once(self, monkeypatch):
+        calls = []
+        values_on = TrigBasis.values_on
+        monkeypatch.setattr(TrigBasis, "values_on", lambda self, quad: calls.append(quad) or values_on(self, quad))
+        system = real_trig_system(build_box([3]), oversample=8)
+        assert calls == []  # construction proves orthonormality on Q alone
+        bss_weighted_sparsify(system, 4.0)
+        assert calls == [system.quadrature]
 
     def test_explicit_candidates_are_checked(self, trig7, monkeypatch):
         nodes = real_trig_system(build_box([3]), oversample=8).quadrature.nodes

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,19 +265,15 @@ def tensor_rule(sizes) -> Quadrature:
     return Quadrature(torus_grid(sizes), np.full(m, 1.0 / m), meta={"sizes": list(sizes)})
 
 
-def trig_basis(Q: FrequencySet) -> TrigBasis:
-    return TrigBasis(has_const=(0,) * Q.dim in Q, reps=spaces._pair_representatives(Q))
-
-
 def numeric_verdict(Q: FrequencySet, quad: Quadrature) -> bool:
     """Whether the quadrature Gram of the real trig basis of a symmetric Q is the identity to 1e-8."""
-    return bool(np.abs(weighted_gram(trig_basis(Q).values_on(quad), quad.weights) - np.eye(len(Q))).max() <= 1e-8)
+    return bool(np.abs(weighted_gram(TrigBasis(Q).values_on(quad), quad.weights) - np.eye(len(Q))).max() <= 1e-8)
 
 
 def construction_verdict(Q: FrequencySet, quad: Quadrature) -> bool:
     """Whether the trig system of Q builds on ``quad`` (on a tensor rule: the difference-set check)."""
     try:
-        OrthonormalSystem("trig", trig_basis(Q), quad, condition_d=True, freqs=Q)
+        OrthonormalSystem("trig", TrigBasis(Q), quad)
     except ValueError as exc:
         assert "Gram" in str(exc)
         return False
@@ -324,9 +321,9 @@ class TestDifferenceSetExactness:
         miscounted = tensor_rule([7, 7])
         miscounted.meta["sizes"] = [7, 8]
         entry_points = [
-            lambda quad: OrthonormalSystem("trig", trig_basis(Q), quad, freqs=Q),  # resolves_products
+            lambda quad: OrthonormalSystem("trig", TrigBasis(Q), quad),  # resolves_products
             random_trig_poly(Q, rng).values_on,
-            trig_basis(Q).values_on,
+            TrigBasis(Q).values_on,
         ]
         for entry in entry_points:
             for quad in (tensor_rule([7, 7, 1]), miscounted):
@@ -338,7 +335,7 @@ class TestDifferenceSetExactness:
         quad = tensor_rule([7, 7])
         quad.weights = quad.weights * np.linspace(0.5, 1.5, quad.size)
         with pytest.raises(ValueError):
-            OrthonormalSystem("trig", trig_basis(Q), quad, freqs=Q)
+            OrthonormalSystem("trig", TrigBasis(Q), quad)
 
 
 class TestPointSet:
@@ -395,8 +392,13 @@ class TestOrthonormalSystems:
         assert sys.condition_d
 
     def test_grid_system_too_coarse_rejected(self, cross2):
-        with pytest.raises(ValueError):
-            real_trig_system_on_grid(cross2, 6)
+        with pytest.raises(ValueError, match="Gram"):
+            real_trig_system_on_grid(cross2, 6)  # 3 = -3 mod 6
+
+    def test_grid_system_needs_only_distinct_residues(self):
+        # 5 <= 2 * max|k| = 6, yet 0, 1, 4, 3, 2 = k mod 5 are distinct
+        sys = real_trig_system_on_grid(freqset([(0,), (1,), (-1,), (3,), (-3,)]), 5)
+        assert np.abs(sys.gram() - np.eye(5)).max() <= 1e-12
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
@@ -409,6 +411,15 @@ class TestOrthonormalSystems:
         assert sys.condition_d
         g = sys.gram()
         assert np.abs(g - np.eye(7)).max() < 1e-8
+
+    def test_tabulated_christoffel_is_measured(self):
+        # orthonormal columns under the uniform measure on 4 points, w = 3, 3, 1, 1
+        r = math.sqrt(2.0)
+        sys = tabulated_system(np.array([[1.0, r], [1.0, -r], [1.0, 0.0], [1.0, 0.0]]))
+        assert not sys.condition_d
+        assert sys.constants.t == pytest.approx(math.sqrt(1.5))
+        with pytest.raises(ValueError, match="N t\\^2"):
+            OrthonormalSystem("capped", sys.basis, sys.quadrature, constants=SystemConstants(t=1.2))
 
     def test_construction_checks_gram_and_christoffel_cap(self, trig7, rng):
         quad = Quadrature(rng.uniform(0, 2 * math.pi, size=(50, 1)), np.full(50, 1 / 50))
@@ -436,24 +447,38 @@ class TestOrthonormalSystems:
 
     @pytest.mark.parametrize("sizes", [[6, 7], [7, 6], [4, 4]])
     def test_tensor_rule_too_coarse_fails_the_gram_check(self, sizes):
-        # max |k_j| = 3 on both axes: a rule needs more than 6 nodes per axis
-        basis = real_trig_system(build_hyperbolic_cross(2, 2)).basis
-        quad = Quadrature(torus_grid(sizes), np.full(math.prod(sizes), 1.0 / math.prod(sizes)), meta={"sizes": sizes})
+        # the nodes of a rule that aliases two frequencies of the cross, without "sizes": the numeric Gram check
+        basis = TrigBasis(build_hyperbolic_cross(2, 2))
+        quad = Quadrature(torus_grid(sizes), np.full(math.prod(sizes), 1.0 / math.prod(sizes)))
         with pytest.raises(ValueError, match="Gram"):
             OrthonormalSystem("coarse", basis, quad)
 
     @pytest.mark.parametrize("sizes", [[6, 7], [7, 6], [4, 4]])
     def test_tensor_rule_too_coarse_fails_the_difference_set_check(self, sizes):
-        # the same rules with freqs set: each aliases two frequencies of the cross
-        Q = build_hyperbolic_cross(2, 2)
+        # the same rules with "sizes": max |k_j| = 3 on both axes, and each rule aliases two frequencies
         with pytest.raises(ValueError, match="Gram"):
-            OrthonormalSystem("coarse", real_trig_system(Q).basis, tensor_rule(sizes), freqs=Q)
+            OrthonormalSystem("coarse", TrigBasis(build_hyperbolic_cross(2, 2)), tensor_rule(sizes))
 
     def test_trig_system_on_its_tensor_rule_skips_the_gram_product(self, monkeypatch):
-        calls = []
+        calls, tables = [], []
         monkeypatch.setattr(spaces, "weighted_gram", lambda *a: calls.append(a) or weighted_gram(*a))
-        real_trig_system(build_hyperbolic_cross(4, 2))
+        values_on = TrigBasis.values_on
+        monkeypatch.setattr(TrigBasis, "values_on", lambda self, quad: tables.append(quad) or values_on(self, quad))
+        sys = real_trig_system(build_hyperbolic_cross(4, 2))
         assert calls == []
+        assert tables == [] and sys.condition_d  # w = N is an identity of the basis: no table is built
+        sys.quad_values
+        assert tables == [sys.quadrature]
+
+    def test_trig_system_builds_in_memory_of_its_nodes(self):
+        # cross:6:2 has 258,064 nodes (6 MB of nodes and weights); its nodes x N table would take 1.6 GB
+        tracemalloc.start()
+        try:
+            real_trig_system(build_hyperbolic_cross(6, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
     def test_other_systems_keep_the_gram_product(self, cross2, trig7, monkeypatch):
         calls = []
@@ -462,7 +487,9 @@ class TestOrthonormalSystems:
         assert len(calls) == 1
         tabulated_system(trig7.quad_values)
         assert len(calls) == 2
-        OrthonormalSystem("no freqs", trig7.basis, trig7.quadrature)
+        OrthonormalSystem("no sizes", trig7.basis, Quadrature(trig7.quadrature.nodes, trig7.quadrature.weights))
+        assert len(calls) == 3
+        OrthonormalSystem("sizes", trig7.basis, trig7.quadrature)  # the difference-set check
         assert len(calls) == 3
 
     def test_discrete_rule_table_is_evaluated(self, cross2, monkeypatch):
@@ -485,6 +512,25 @@ class TestOrthonormalSystems:
         c = trig7.constants
         assert c.k2 == 2.0 and c.t == 1.0 and c.alpha == 1.0 and c.beta == 1.0
         assert c.k1 == pytest.approx(math.sqrt(2) * 1 * 3 / 7)
+
+
+class TestTrigBasis:
+    def test_derived_from_its_frequency_set(self):
+        basis = TrigBasis(build_hyperbolic_cross(2, 2))
+        # one representative of each pair {k, -k}, the one with a positive leading nonzero coordinate, sorted
+        assert basis.reps == tuple(sorted({max(k, tuple(-v for v in k)) for k in basis.freqs if any(k)}))
+        assert basis.has_const and basis.n_funcs == len(basis.freqs) == 1 + 2 * len(basis.reps)
+        assert basis.rep_array.shape == (len(basis.reps), 2)
+        assert TrigBasis(freqset([(1, 0), (-1, 0)])).reps == ((1, 0),)
+
+    def test_constant_only_basis(self):
+        basis = TrigBasis(build_box([0, 0]))
+        assert basis.rep_array.shape == (0, 2)
+        assert np.array_equal(basis.values_on(Quadrature.tensor_torus([1, 2])), np.ones((12 * 20, 1)))
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            TrigBasis(FrequencySet(2, ()))
 
 
 def test_every_public_name_resolves():
