@@ -20,6 +20,14 @@ Constructions:
 * :func:`bss_weighted_sparsify` barrier-potential weighted sparsification
   with support ceil(d N) and condition-number ratio at most
   ``(d + 1 + 2 sqrt(d)) / (d + 1 - 2 sqrt(d))``.
+
+The greedy and BSS each run one of two paths.  For a trigonometric system
+with the default candidates (the nodes of its tensor rule), the greedy's
+kernel columns are cyclic shifts of the Dirichlet kernel, and BSS's barrier
+forms are trigonometric polynomials on the difference set Q - Q; both are
+valued by ``TrigPolynomial.values_on`` and neither builds the nodes x N
+value table.  Explicit candidates, rules without sizes and tabulated
+systems read that table.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import MissingConstant, OrthonormalSystem, PointSet, dirichlet_poly, weighted_gram
+from .spaces import MissingConstant, OrthonormalSystem, PointSet, TrigPolynomial, dirichlet_poly, weighted_gram
 
 LOG2 = math.log(2.0)
 SUBGAUSS_C = 2.0 / LOG2  # constant in the exponent of the deviation bound
@@ -248,23 +256,80 @@ def bss_ratio_bound(d: float) -> float:
     return (d + 1 + 2 * rd) / (d + 1 - 2 * rd)
 
 
-def _barrier_quadratic_forms(lam: np.ndarray, W: np.ndarray, U: np.ndarray, scale: float, upper: float, lower: float):
+def _barrier_quadratic_forms(lam: np.ndarray, W: np.ndarray, scale: float, upper: float, lower: float, forms):
     """Quadratic forms v^T (uI-A)^{-p} v and v^T (A-lI)^{-p} v, p = 1, 2, from A = W diag(lam) W^T.
 
-    The vectors are v = sqrt(scale) u over the rows u of ``U``; the scale
-    goes into the four length-N factors, so no scaled copy of ``U`` is made.
+    The vectors are v = sqrt(scale) u(x) over the candidates x.  ``forms(W,
+    factors)`` returns sum_i f_i (u(x)^T w_i)^2 over the candidates for each
+    length-N factor f (see :func:`_barrier_forms`); the scale goes into the
+    four factors, so no scaled copy of the candidates' values is made.
     """
-    UW = U @ W  # (M, N)
-    UW *= UW  # squared once, in place, for the four forms
     du = upper - lam
     dl = lam - lower
-    q1u = UW @ (scale / du)
-    q2u = UW @ (scale / du**2)
-    q1l = UW @ (scale / dl)
-    q2l = UW @ (scale / dl**2)
+    q1u, q2u, q1l, q2l = forms(W, (scale / du, scale / du**2, scale / dl, scale / dl**2))
     phi_u = float((1.0 / du).sum())
     phi_l = float((1.0 / dl).sum())
     return q1u, q2u, q1l, q2l, phi_u, phi_l
+
+
+def _table_forms(U: np.ndarray):
+    """The barrier forms read off the candidates x N value table ``U``, through one buffer per run."""
+    buffer = np.empty(U.shape)
+
+    def forms(W, factors):
+        UW = np.matmul(U, W, out=buffer)
+        UW *= UW  # squared once, in place, for the four forms
+        return [UW @ f for f in factors]
+
+    return forms
+
+
+def _fft_forms(system: OrthonormalSystem):
+    """The barrier forms as trigonometric polynomials on D = Q - Q, valued on the system's tensor rule.
+
+    For u = T e with e(x) = (exp(i <k, x>))_{k in Q}, the form
+    sum_i f_i (u(x)^T w_i)^2 is sum_{k,l} P_kl exp(i <l - k, x>) with
+    P = conj(C) diag(f) C^T, where column i of C = ``exp_coeffs(W)`` holds
+    the coefficients of u^T w_i over Q.  P is folded onto D and valued by
+    ``TrigPolynomial.values_on``; the real and imaginary parts of one
+    complex factor f + i g carry the forms of f and of g.
+    """
+    D, pair = system.freqs.differences()
+
+    def forms(W, factors):
+        C = system.basis.exp_coeffs(W)
+        out = []
+        for f, g in (factors[:2], factors[2:]):
+            P = ((C.conj() * (f + 1j * g)) @ C.T).reshape(-1)
+            coeffs = np.bincount(pair, P.real, len(D)) + 1j * np.bincount(pair, P.imag, len(D))
+            values = TrigPolynomial(D, coeffs).values_on(system.quadrature)
+            out += [values.real, values.imag]
+        return out
+
+    return forms
+
+
+def _barrier_forms(system: OrthonormalSystem, candidates: np.ndarray | None):
+    """Candidates, pick -> u(x_pick), the barrier forms over the candidates, and the path's name.
+
+    A trigonometric system with the default candidates on a tensor rule
+    values the forms as polynomials on the difference set (:func:`_fft_forms`)
+    and evaluates the basis at the one node each step picks: the "fft" path,
+    which builds no value table.  Explicit candidates, rules without sizes
+    and tabulated systems read the candidates x N value table: the "table"
+    path; explicit candidates are checked to resolve the identity to 1e-8.
+    """
+    quad = system.quadrature
+    if candidates is None and system.freqs is not None and "sizes" in quad.meta:
+        return quad.nodes, lambda pick: system.evaluate(quad.nodes[pick]).reshape(-1), _fft_forms(system), "fft"
+    explicit = candidates is not None
+    candidates, U = _candidate_table(system, candidates)
+    n = system.size
+    if len(candidates) < n:
+        raise ValueError("need at least N candidate points")
+    if explicit and np.abs(weighted_gram(U, np.full(len(candidates), 1.0 / len(candidates))) - np.eye(n)).max() > 1e-8:
+        raise ValueError("candidates do not resolve the identity")
+    return candidates, U.__getitem__, _table_forms(U), "table"
 
 
 def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates: np.ndarray | None = None) -> BssResult:
@@ -283,6 +348,16 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
     ``(d + 1 + 2 sqrt(d)) / (d + 1 - 2 sqrt(d))`` (9 at d = 4), and the
     support at most ceil(d N).
 
+    Each step needs the forms v^T (uI-A)^{-p} v and v^T (A-lI)^{-p} v,
+    p = 1, 2, at every candidate.  For a trigonometric system with the
+    default candidates on a tensor rule they are trigonometric polynomials
+    on Q - Q, two inverse FFTs per step, and the rank-one update evaluates
+    the basis at the one node it picks, so no value table is built
+    (``meta["forms"] == "fft"``).  Explicit candidates, rules without sizes
+    and tabulated systems multiply the candidates x N table by the
+    eigenvectors at each step (``meta["forms"] == "table"``).  Both paths
+    pick the same points.
+
     When the candidate set is already no larger than ceil(d N), the full
     set (which realizes the identity exactly) is returned unchanged.
     """
@@ -291,14 +366,9 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
     if candidates is None and not np.allclose(weights, weights[0]):
         raise ValueError("candidate quadrature must have equal weights")
     # default candidates are the system's equal-weight nodes, which construction proved exact
-    explicit = candidates is not None
-    candidates, U = _candidate_table(system, candidates)
+    candidates, row, forms, path = _barrier_forms(system, candidates)
     M_cand = candidates.shape[0]
     n = system.size
-    if M_cand < n:
-        raise ValueError("need at least N candidate points")
-    if explicit and np.abs(weighted_gram(U, np.full(M_cand, 1.0 / M_cand)) - np.eye(n)).max() > 1e-8:
-        raise ValueError("candidates do not resolve the identity")
 
     steps = math.ceil(d_param * n)
     bound = bss_ratio_bound(d_param)
@@ -335,7 +405,7 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
         lower_next = lower + delta_l
         if not (lamA[0] > lower_next and lamA[-1] < upper_next):
             raise RuntimeError("barrier invariant violated: eigenvalue escaped the window")
-        q1u, q2u, q1l, q2l, phi_u, phi_l = _barrier_quadratic_forms(lamA, W, U, 1.0 / M_cand, upper_next, lower_next)
+        q1u, q2u, q1l, q2l, phi_u, phi_l = _barrier_quadratic_forms(lamA, W, 1.0 / M_cand, upper_next, lower_next, forms)
         phi_u_cur = float((1.0 / (upper - lamA)).sum())
         phi_l_cur = float((1.0 / (lamA - lower)).sum())
         denom_u = phi_u_cur - phi_u  # potential drop from shifting the upper barrier
@@ -348,10 +418,11 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
         best = float(gap.max())
         if best < -1e-7:
             raise RuntimeError(f"step {step}: no feasible candidate (best gap {best:.3e})")
-        # ties within rounding go to the lowest index, whichever table gave the gaps
+        # ties within rounding go to the lowest index, whichever path gave the gaps
         j = int(np.argmax(gap >= best - BSS_TIE_TOL * max(1.0, abs(best))))
         w_j = 2.0 / (Uv[j] + Lv[j])
-        A = A + (w_j / M_cand) * np.outer(U[j], U[j])
+        u_j = row(j)
+        A = A + (w_j / M_cand) * np.outer(u_j, u_j)
         acc_weights[j] = acc_weights.get(j, 0.0) + w_j
         upper, lower = upper_next, lower_next
         lamA, W = np.linalg.eigh(A)
@@ -379,7 +450,7 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
         ratio_bound=bound,
         steps=steps,
         fast_path=False,
-        meta={"barriers": (lower, upper)},
+        meta={"barriers": (lower, upper), "forms": path},
     )
 
 

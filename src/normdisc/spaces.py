@@ -134,6 +134,23 @@ class FrequencySet:
             return 0
         return int(np.abs(self.array).sum(axis=1).max())
 
+    def differences(self) -> tuple["FrequencySet", np.ndarray]:
+        """The difference set D = Q - Q, and the position in D of l - k for each pair (k, l) of Q.
+
+        Pairs run in the row-major order of a (|Q|, |Q|) array over Q's sorted
+        order.  D is found by one sort of the differences, encoded as their
+        flat index in the box [-2 max|k|, 2 max|k|], whose C order is the
+        lexicographic order of ``FrequencySet``.
+        """
+        diffs = (self.array[None, :, :] - self.array[:, None, :]).reshape(-1, self.dim)
+        reach = 2 * self.max_abs
+        codes = np.ravel_multi_index(tuple((diffs + reach).T), tuple(2 * reach + 1))
+        order = np.argsort(codes, kind="stable")
+        new = np.diff(codes[order], prepend=-1) != 0  # the first pair of each difference
+        position = np.empty(len(codes), dtype=np.int64)
+        position[order] = np.cumsum(new) - 1
+        return FrequencySet(self.dim, tuple(map(tuple, diffs[order[new]].tolist()))), position
+
     def to_json(self) -> str:
         return json.dumps({"dim": self.dim, "freqs": [list(k) for k in self.freqs]})
 
@@ -247,8 +264,12 @@ class PointSet:
 
 def torus_grid(sizes) -> np.ndarray:
     """The (prod(sizes), d) grid of nodes 2*pi*n_j/sizes_j, rows in the C order of a ``sizes`` array."""
-    axes = [TWO_PI * np.arange(s) / s for s in sizes]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))
+    d = len(sizes)
+    out = np.empty((math.prod(sizes), d))
+    grid = out.reshape(*sizes, d)  # a view: each axis is written once, with no meshgrid copies
+    for j, s in enumerate(sizes):
+        grid[..., j] = (TWO_PI * np.arange(s) / s).reshape([-1 if i == j else 1 for i in range(d)])
+    return out
 
 
 def grid_P(n_vec) -> PointSet:
@@ -567,6 +588,22 @@ class TrigBasis:
             np.cos(phase, out=out[:, col::2])
             np.sin(phase, out=out[:, col + 1 :: 2])
             out[:, col:] *= math.sqrt(2.0)
+        return out
+
+    def exp_coeffs(self, c: np.ndarray) -> np.ndarray:
+        """The (|Q|, r) coefficients over Q, in its sorted order, of the functions u^T c[:, i], for a real (N, r) ``c``.
+
+        sqrt2 cos<k,x> = (e_k + e_-k)/sqrt2 and sqrt2 sin<k,x> = -i (e_k - e_-k)/sqrt2,
+        so the pair (a, b) of a representative k becomes (a - i b)/sqrt2 at k
+        and its conjugate at -k.  Q is sorted, so it holds -k in the reverse
+        order of the representatives, then 0 (when present), then them.
+        """
+        r = len(self.reps)
+        col = int(self.has_const)
+        out = np.empty((self.n_funcs, c.shape[1]), dtype=complex)
+        out[r : r + col] = c[:col]
+        out[r + col :] = (c[col::2] - 1j * c[col + 1 :: 2]) / math.sqrt(2.0)
+        np.conjugate(out[r + col :][::-1], out=out[:r])
         return out
 
     def values_on(self, quad: Quadrature) -> np.ndarray:

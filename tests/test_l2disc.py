@@ -6,7 +6,9 @@ import pytest
 from normdisc import l2disc
 from normdisc.l2disc import (
     _barrier_quadratic_forms,
+    _fft_forms,
     _kernel_columns,
+    _table_forms,
     bss_ratio_bound,
     bss_weighted_sparsify,
     concentration_budget,
@@ -215,7 +217,7 @@ class TestBarrierSparsify:
         A = V[:10].T @ (rng.uniform(0.5, 2.0, 10)[:, None] * V[:10])
         lam, W = np.linalg.eigh(A)
         upper, lower = lam[-1] + 0.7, lam[0] - 0.4
-        q1u, q2u, q1l, q2l, phi_u, phi_l = _barrier_quadratic_forms(lam, W, U, 1.0 / 30, upper, lower)
+        q1u, q2u, q1l, q2l, phi_u, phi_l = _barrier_quadratic_forms(lam, W, 1.0 / 30, upper, lower, _table_forms(U))
         Ru = np.linalg.solve(upper * np.eye(n) - A, V.T)  # (uI - A)^{-1} v per column
         Rl = np.linalg.solve(A - lower * np.eye(n), V.T)
         assert np.abs(q1u - np.einsum("ij,ji->i", V, Ru)).max() < 1e-10
@@ -224,6 +226,58 @@ class TestBarrierSparsify:
         assert np.abs(q2l - (Rl * Rl).sum(axis=0)).max() < 1e-10
         assert phi_u == pytest.approx(np.trace(np.linalg.inv(upper * np.eye(n) - A)), abs=1e-10)
         assert phi_l == pytest.approx(np.trace(np.linalg.inv(A - lower * np.eye(n))), abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "Q, oversample",
+        [
+            (build_hyperbolic_cross(3, 2), 4),
+            (build_hyperbolic_cross(2, 3), 4),
+            (build_box([3]), 8),
+            (build_hyperbolic_cross(3, 2), 1),  # D = Q - Q aliases mod sizes
+        ],
+        ids=["cross:3:2", "cross:2:3", "box:3", "cross:3:2-oversample1"],
+    )
+    def test_fft_forms_match_table_and_solve(self, Q, oversample, rng):
+        system = real_trig_system(Q, oversample=oversample)
+        U = system.quad_values
+        n, scale = system.size, 1.0 / len(U)
+        V = U * math.sqrt(scale)
+        picks = rng.choice(len(U), 3 * n, replace=False)
+        A = V[picks].T @ (rng.uniform(0.5, 2.0, len(picks))[:, None] * V[picks])
+        lam, W = np.linalg.eigh(A)
+        upper, lower = lam[-1] + 0.7, lam[0] - 0.4
+        fft = _barrier_quadratic_forms(lam, W, scale, upper, lower, _fft_forms(system))
+        table = _barrier_quadratic_forms(lam, W, scale, upper, lower, _table_forms(U))
+        for a, b in zip(fft, table):
+            assert np.abs(np.asarray(a) - b).max() < 1e-10
+        Ru = np.linalg.solve(upper * np.eye(n) - A, V.T)
+        Rl = np.linalg.solve(A - lower * np.eye(n), V.T)
+        q1u, q2u, q1l, q2l = fft[:4]
+        assert np.abs(q1u - np.einsum("ij,ji->i", V, Ru)).max() < 1e-10
+        assert np.abs(q2u - (Ru * Ru).sum(axis=0)).max() < 1e-10
+        assert np.abs(q1l - np.einsum("ij,ji->i", V, Rl)).max() < 1e-10
+        assert np.abs(q2l - (Rl * Rl).sum(axis=0)).max() < 1e-10
+
+    @pytest.mark.parametrize(
+        "Q, oversample",
+        [(build_hyperbolic_cross(3, 2), 4), (build_hyperbolic_cross(2, 3), 4), (build_box([3, 3]), 4), (build_box([7]), 8)],
+        ids=["cross:3:2", "cross:2:3", "box:3x3", "box:7"],
+    )
+    def test_fft_path_picks_the_table_path_points(self, Q, oversample):
+        system = real_trig_system(Q, oversample=oversample)
+        fft = bss_weighted_sparsify(system, 4.0)
+        table = bss_weighted_sparsify(system, 4.0, candidates=system.quadrature.nodes)
+        assert (fft.meta["forms"], table.meta["forms"]) == ("fft", "table")
+        assert np.array_equal(fft.pointset.points, table.pointset.points)
+        assert np.allclose(fft.pointset.weights, table.pointset.weights, rtol=1e-9, atol=0)
+
+    def test_forms_path_recorded(self, cross2, trig7, rng):
+        system = real_trig_system(build_box([3]), oversample=8)
+        assert bss_weighted_sparsify(system, 4.0).meta["forms"] == "fft"
+        assert bss_weighted_sparsify(system, 4.0, candidates=system.quadrature.nodes).meta["forms"] == "table"
+        assert bss_weighted_sparsify(real_trig_system_on_grid(cross2, 40), 4.0).meta["forms"] == "table"
+        tab = tabulated_system(system.quad_values, system.quadrature.nodes)
+        assert bss_weighted_sparsify(tab, 4.0).meta["forms"] == "table"
 
     def test_guarantees_hold(self):
         system = real_trig_system(build_box([3]), oversample=8)  # 56 candidates
@@ -292,14 +346,15 @@ class TestBarrierSparsify:
         bss_weighted_sparsify(system, 4.0)
         assert calls == []  # the system's own nodes: its construction proved them exact
 
-    def test_default_candidates_build_the_table_once(self, monkeypatch):
+    def test_default_candidates_build_no_table(self, monkeypatch):
         calls = []
         values_on = TrigBasis.values_on
         monkeypatch.setattr(TrigBasis, "values_on", lambda self, quad: calls.append(quad) or values_on(self, quad))
-        system = real_trig_system(build_box([3]), oversample=8)
-        assert calls == []  # construction proves orthonormality on Q alone
-        bss_weighted_sparsify(system, 4.0)
-        assert calls == [system.quadrature]
+        for Q in (build_box([3]), build_hyperbolic_cross(3, 2)):
+            system = real_trig_system(Q, oversample=8)
+            assert calls == []  # construction proves orthonormality on Q alone
+            assert not bss_weighted_sparsify(system, 4.0).fast_path
+            assert calls == []  # the forms are polynomials on Q - Q, valued by one FFT each
 
     def test_explicit_candidates_are_checked(self, trig7, monkeypatch):
         nodes = real_trig_system(build_box([3]), oversample=8).quadrature.nodes

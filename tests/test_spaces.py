@@ -81,6 +81,17 @@ class TestFrequencySets:
         q = build_hyperbolic_cross(2, 2)
         assert FrequencySet.from_json(q.to_json()) == q
 
+    @pytest.mark.parametrize(
+        "q", [build_hyperbolic_cross(3, 1), build_hyperbolic_cross(2, 2), build_box([1, 2, 1]), freqset([(5, -1), (0, 2)]), build_box([0])]
+    )
+    def test_differences_index_every_pair(self, q):
+        D, position = q.differences()
+        direct = {tuple(l - k) for k in q.array for l in q.array}
+        assert set(D.freqs) == direct and len(D) == len(direct)
+        assert position.shape == (len(q) ** 2,)
+        pairs = (q.array[None, :, :] - q.array[:, None, :]).reshape(-1, q.dim)
+        assert np.array_equal(D.array[position], pairs)  # pair (k, l) -> l - k, row-major
+
     @pytest.mark.parametrize("q", [build_hyperbolic_cross(3, 1), build_hyperbolic_cross(2, 2), build_box([1, 2, 1])])
     def test_characters_match_direct_exp(self, q, rng):
         pts = rng.uniform(0, 2 * math.pi, size=(9, q.dim))
@@ -234,6 +245,15 @@ class TestQuadrature:
         grid = torus_grid(sizes)
         assert grid.dtype == np.float64
         assert np.array_equal(grid, np.array(list(itertools.product(*axes))))
+
+    def test_torus_grid_peaks_at_its_nodes(self):
+        tracemalloc.start()
+        try:
+            grid = torus_grid([300, 40, 20])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * grid.nbytes  # no meshgrid copies beside the nodes
 
     def test_weights_sum_to_one(self):
         q = Quadrature.tensor_torus([2, 3])
@@ -531,6 +551,17 @@ class TestTrigBasis:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             TrigBasis(FrequencySet(2, ()))
+
+    @pytest.mark.parametrize(
+        "q", [build_hyperbolic_cross(2, 2), build_hyperbolic_cross(3, 1), freqset([(1, 2), (-1, -2), (0, 3), (0, -3)]), build_box([0, 0])]
+    )
+    def test_exp_coeffs_are_the_real_functions(self, q, rng):
+        basis = TrigBasis(q)
+        c = rng.standard_normal((basis.n_funcs, 3))
+        coeffs = basis.exp_coeffs(c)
+        pts = rng.uniform(0, 2 * math.pi, size=(11, q.dim))
+        for i in range(3):
+            assert np.abs(TrigPolynomial(q, coeffs[:, i]).evaluate(pts) - basis.evaluate(pts) @ c[:, i]).max() < 1e-12
 
 
 def test_every_public_name_resolves():
