@@ -21,13 +21,11 @@ Constructions:
   with support ceil(d N) and condition-number ratio at most
   ``(d + 1 + 2 sqrt(d)) / (d + 1 - 2 sqrt(d))``.
 
-The greedy and BSS each run one of two paths.  For a trigonometric system
-with the default candidates (the nodes of its tensor rule), the greedy's
-kernel columns are cyclic shifts of the Dirichlet kernel, and BSS's barrier
-forms are trigonometric polynomials on the difference set Q - Q; both are
-valued by ``TrigPolynomial.values_on`` and neither builds the nodes x N
-value table.  Explicit candidates, rules without sizes and tabulated
-systems read that table.
+For a trigonometric system with the default candidates (the nodes of its
+tensor rule), the greedy's kernel columns are shifts of the Dirichlet kernel
+and BSS's barrier forms are polynomials on Q - Q, both valued by
+``TrigPolynomial.values_on``, so neither builds the nodes x N value table;
+other candidates, rules and systems read that table.
 """
 
 from __future__ import annotations
@@ -312,12 +310,9 @@ def _fft_forms(system: OrthonormalSystem):
 def _barrier_forms(system: OrthonormalSystem, candidates: np.ndarray | None):
     """Candidates, pick -> u(x_pick), the barrier forms over the candidates, and the path's name.
 
-    A trigonometric system with the default candidates on a tensor rule
-    values the forms as polynomials on the difference set (:func:`_fft_forms`)
-    and evaluates the basis at the one node each step picks: the "fft" path,
-    which builds no value table.  Explicit candidates, rules without sizes
-    and tabulated systems read the candidates x N value table: the "table"
-    path; explicit candidates are checked to resolve the identity to 1e-8.
+    The "fft" path (see :func:`bss_weighted_sparsify`) evaluates the basis
+    at the one node each step picks; the "table" path reads rows of the
+    value table, and checks explicit candidates to resolve the identity.
     """
     quad = system.quadrature
     if candidates is None and system.freqs is not None and "sizes" in quad.meta:
