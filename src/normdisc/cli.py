@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -11,7 +12,7 @@ import time
 from . import __version__
 from .l1disc import FalsifierEffort, certify_l1
 from .l2disc import bss_weighted_sparsify, check_bss_d, check_m, frobenius_rga_pointset, l2_certificate, random_l2_pointset
-from .spaces import FrequencySet, build_box, build_hyperbolic_cross, grid_P, real_trig_system
+from .spaces import MAX_RULE_NODES, FrequencySet, build_box, build_hyperbolic_cross, grid_P, real_trig_system
 
 EXIT_OK = 0
 EXIT_TARGET = 1  # ran fine but a requested target was not met
@@ -23,15 +24,33 @@ METHODS = ("random", "greedy", "bss", "grid")
 CSV_COLUMNS = ("space", "N", "m", "method", "seed", "eps", "r_min", "r_max", "runtime_ms")
 
 
+def check_exact_grid(axis_sizes) -> None:
+    """Refuse a space whose smallest exact grid, prod(2 max|k_j| + 1) over ``axis_sizes``, exceeds ``MAX_RULE_NODES``.
+
+    The product stops at the first factor past the cap, so no huge number
+    is formed.
+    """
+    nodes = 1
+    for size in axis_sizes:
+        nodes *= size
+        if nodes > MAX_RULE_NODES:
+            raise ValueError(f"its smallest exact grid has more than MAX_RULE_NODES = {MAX_RULE_NODES:,} nodes")
+
+
 def parse_space(spec: str) -> FrequencySet:
-    """cross:<n>:<dim> or box:<N1>x<N2>x..."""
+    """cross:<n>:<dim> or box:<N1>x<N2>x..., refused before it is built when its exact grid is too large."""
     kind, _, rest = spec.partition(":")
     try:
         if kind == "cross":
             n_str, _, d_str = rest.partition(":")
-            return build_hyperbolic_cross(int(n_str), int(d_str or "1"))
+            n, dim = int(n_str), int(d_str or "1")
+            # max |k_j| = 2^n - 1 on each axis; from n = 24 on, one axis alone is past the cap
+            check_exact_grid(itertools.repeat(2 ** (min(n, 24) + 1) - 1, max(dim, 0)))
+            return build_hyperbolic_cross(n, dim)
         if kind == "box":
-            return build_box([int(v) for v in rest.split("x")])
+            n_vec = [int(v) for v in rest.split("x")]
+            check_exact_grid(2 * max(v, 0) + 1 for v in n_vec)
+            return build_box(n_vec)
     except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad space spec {spec!r}: {exc}") from None
     raise argparse.ArgumentTypeError(f"unknown space kind {kind!r} (use cross:n:d or box:N1xN2)")
@@ -241,10 +260,15 @@ def cmd_experiment(args) -> int:
         sys.stdout.write(text)
 
     failed = False
-    if cfg["eps_target"] is not None:
-        failed |= any(r["eps"] > cfg["eps_target"] for r in rows)
-    if cfg["l1"]:
-        failed |= any(not (0.5 <= r["r_min"] and r["r_max"] <= 1.5) for r in rows)
+    for r in rows:
+        why = []
+        if cfg["eps_target"] is not None and r["eps"] > cfg["eps_target"]:
+            why.append(f"eps {fmt(r['eps'])} > target {fmt(cfg['eps_target'])}")
+        if cfg["l1"] and not (0.5 <= r["r_min"] and r["r_max"] <= 1.5):
+            why.append(f"r outside [0.5, 1.5] (r_min {fmt(r['r_min'])}, r_max {fmt(r['r_max'])})")
+        if why:
+            failed = True
+            print(f"failed: space {r['space']} method {r['method']} seed {r['seed']}: {'; '.join(why)}", file=sys.stderr)
     return EXIT_TARGET if failed else EXIT_OK
 
 

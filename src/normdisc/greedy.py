@@ -398,8 +398,6 @@ def sigma_m_curve(system: OrthonormalSystem, ball: str, m_list, n_samples: int =
     if ball == "kernel-l2":
         kd = symmetrize(scaled_kernel_dict(system))
     if ball == "coeff-l1":
-        if system.freqs is None:
-            raise ValueError("coeff-l1 ball needs a system with a frequency set")
         ed = exponential_dict(system.freqs)
     for m in m_list:
         res = []

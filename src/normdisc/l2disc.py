@@ -21,11 +21,11 @@ Constructions:
   with support ceil(d N) and condition-number ratio at most
   ``(d + 1 + 2 sqrt(d)) / (d + 1 - 2 sqrt(d))``.
 
-For a trigonometric system with the default candidates (the nodes of its
-tensor rule), the greedy's kernel columns are shifts of the Dirichlet kernel
-and BSS's barrier forms are polynomials on Q - Q, both valued by
+With the default candidates (the nodes of the system's tensor rule), the
+greedy's kernel columns are shifts of the Dirichlet kernel and BSS's
+barrier forms are polynomials on Q - Q, both valued by
 ``TrigPolynomial.values_on``, so neither builds the nodes x N value table;
-other candidates, rules and systems read that table.
+explicit candidates read their own value table.
 """
 
 from __future__ import annotations
@@ -113,24 +113,11 @@ def check_m(m: int) -> None:
 
 
 def random_l2_pointset(system: OrthonormalSystem, m: int, seed: int = 0) -> tuple[PointSet, SpectralCertificate]:
-    """m iid uniform points (uniform nodes on a discrete domain) and their certificate."""
+    """m iid uniform points on the torus and their certificate."""
     check_m(m)
     rng = np.random.default_rng(seed)
-    if system.quadrature.meta.get("discrete"):
-        nodes = system.quadrature.nodes
-        pts = nodes[rng.integers(0, len(nodes), size=m)]
-    else:
-        pts = rng.uniform(0.0, 2.0 * math.pi, size=(m, system.dim))
-    ps = PointSet(pts)
+    ps = PointSet(rng.uniform(0.0, 2.0 * math.pi, size=(m, system.dim)))
     return ps, l2_certificate(system, ps)
-
-
-def _candidate_table(system: OrthonormalSystem, candidates: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate points (default: the quadrature nodes) and the system's value table on them."""
-    if candidates is None:
-        return system.quadrature.nodes, system.quad_values
-    candidates = np.asarray(candidates, dtype=float)
-    return candidates, system.evaluate(candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +140,14 @@ class FrobeniusRun:
 def _kernel_columns(system: OrthonormalSystem, candidates: np.ndarray | None):
     """Candidates, the christoffel values w on them, pick -> D_N(x_pick, .) over them, and the path's name.
 
-    On the tensor rule of a trigonometric system (default candidates) the
-    kernel is translation invariant, D_N(xi, x) = D_Q(x - xi), so every
-    column is a cyclic shift of D_Q on the grid (one FFT) and w = N
-    exactly: the "shift" path.  Everything else reads the nodes x N value
+    On the system's tensor rule (default candidates) the kernel is
+    translation invariant, D_N(xi, x) = D_Q(x - xi), so every column is a
+    cyclic shift of D_Q on the grid (one FFT) and w = N exactly: the
+    "shift" path.  Explicit candidates read their candidates x N value
     table: the "table" path.
     """
-    sizes = system.quadrature.meta.get("sizes")
-    if candidates is None and system.freqs is not None and sizes is not None:
+    if candidates is None:
+        sizes = system.quadrature.tensor_sizes(system.dim)
         D = dirichlet_poly(system.freqs).values_on(system.quadrature).real.reshape(sizes)
         axes = tuple(range(D.ndim))
 
@@ -168,7 +155,8 @@ def _kernel_columns(system: OrthonormalSystem, candidates: np.ndarray | None):
             return np.roll(D, np.unravel_index(pick, sizes), axis=axes).reshape(-1)
 
         return system.quadrature.nodes, np.full(D.size, float(system.size)), shifted, "shift"
-    candidates, U = _candidate_table(system, candidates)
+    candidates = np.asarray(candidates, dtype=float)
+    U = system.evaluate(candidates)
     return candidates, (U * U).sum(axis=1), lambda pick: U @ U[pick], "table"
 
 
@@ -184,12 +172,11 @@ def frobenius_rga_pointset(system: OrthonormalSystem, m: int, candidates: np.nda
     Selection maximizes w(x) - S(x)/(j-1) with S(x) = sum_k D_N(xi_k, x)^2,
     which is the Frobenius inner product of the residual with G(x) up to
     positive scaling; S is updated incrementally from kernel columns, and
-    ties go to the lowest candidate index.  For a trigonometric system on
-    its tensor rule with the default candidates, the columns are cyclic
-    shifts of the Dirichlet kernel D_Q on the grid and w = N exactly, so
-    the first pick is node 0 (``meta["kernel"] == "shift"``).  Explicit
-    candidates, discrete domains and tabulated systems read the system's
-    value table (``meta["kernel"] == "table"``).
+    ties go to the lowest candidate index.  With the default candidates the
+    columns are cyclic shifts of the Dirichlet kernel D_Q on the tensor
+    grid and w = N exactly, so the first pick is node 0
+    (``meta["kernel"] == "shift"``).  Explicit candidates read the system's
+    value table on them (``meta["kernel"] == "table"``).
     """
     check_m(m)
     if system.constants.t is None:
@@ -238,8 +225,7 @@ class BssResult:
     lam_max: float
     ratio: float
     ratio_bound: float
-    steps: int
-    fast_path: bool
+    steps: int  # 0 when the candidate set was small enough to return whole
     meta: dict = field(default_factory=dict)
 
 
@@ -310,19 +296,21 @@ def _fft_forms(system: OrthonormalSystem):
 def _barrier_forms(system: OrthonormalSystem, candidates: np.ndarray | None):
     """Candidates, pick -> u(x_pick), the barrier forms over the candidates, and the path's name.
 
-    The "fft" path (see :func:`bss_weighted_sparsify`) evaluates the basis
-    at the one node each step picks; the "table" path reads rows of the
-    value table, and checks explicit candidates to resolve the identity.
+    The default candidates take the "fft" path (see
+    :func:`bss_weighted_sparsify`), which evaluates the basis at the one
+    node each step picks.  Explicit candidates take the "table" path, which
+    reads rows of their value table, after checking that they resolve the
+    identity.
     """
     quad = system.quadrature
-    if candidates is None and system.freqs is not None and "sizes" in quad.meta:
+    if candidates is None:
         return quad.nodes, lambda pick: system.evaluate(quad.nodes[pick]).reshape(-1), _fft_forms(system), "fft"
-    explicit = candidates is not None
-    candidates, U = _candidate_table(system, candidates)
+    candidates = np.asarray(candidates, dtype=float)
+    U = system.evaluate(candidates)
     n = system.size
     if len(candidates) < n:
         raise ValueError("need at least N candidate points")
-    if explicit and np.abs(weighted_gram(U, np.full(len(candidates), 1.0 / len(candidates))) - np.eye(n)).max() > 1e-8:
+    if np.abs(weighted_gram(U, np.full(len(candidates), 1.0 / len(candidates))) - np.eye(n)).max() > 1e-8:
         raise ValueError("candidates do not resolve the identity")
     return candidates, U.__getitem__, _table_forms(U), "table"
 
@@ -332,7 +320,7 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
 
     Works on candidate vectors v_j = u(x_j)/sqrt(M) that resolve the
     identity (sum_j v_j v_j^T = I).  The default candidates, the nodes of
-    the system's equal-weight quadrature, do so by construction of the
+    the system's equal-weight tensor rule, do so by construction of the
     system; explicit candidates are checked numerically to 1e-8.  Runs
     ceil(d N) barrier steps keeping all eigenvalues of the running matrix
     between moving barriers l and u; each step adds one reweighted rank-one
@@ -344,22 +332,18 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
     support at most ceil(d N).
 
     Each step needs the forms v^T (uI-A)^{-p} v and v^T (A-lI)^{-p} v,
-    p = 1, 2, at every candidate.  For a trigonometric system with the
-    default candidates on a tensor rule they are trigonometric polynomials
-    on Q - Q, two inverse FFTs per step, and the rank-one update evaluates
-    the basis at the one node it picks, so no value table is built
-    (``meta["forms"] == "fft"``).  Explicit candidates, rules without sizes
-    and tabulated systems multiply the candidates x N table by the
-    eigenvectors at each step (``meta["forms"] == "table"``).  Both paths
-    pick the same points.
+    p = 1, 2, at every candidate.  With the default candidates they are
+    trigonometric polynomials on Q - Q, two inverse FFTs per step, and the
+    rank-one update evaluates the basis at the one node it picks, so no
+    value table is built (``meta["forms"] == "fft"``).  Explicit candidates
+    multiply their candidates x N table by the eigenvectors at each step
+    (``meta["forms"] == "table"``).  Both paths pick the same points.
 
     When the candidate set is already no larger than ceil(d N), the full
-    set (which realizes the identity exactly) is returned unchanged.
+    set (which realizes the identity exactly) is returned unchanged, with
+    ``steps == 0``.
     """
     check_bss_d(d_param)
-    weights = system.quadrature.weights
-    if candidates is None and not np.allclose(weights, weights[0]):
-        raise ValueError("candidate quadrature must have equal weights")
     # default candidates are the system's equal-weight nodes, which construction proved exact
     candidates, row, forms, path = _barrier_forms(system, candidates)
     M_cand = candidates.shape[0]
@@ -378,7 +362,6 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
             ratio=1.0,
             ratio_bound=bound,
             steps=0,
-            fast_path=True,
         )
 
     rd = math.sqrt(d_param)
@@ -444,7 +427,6 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
         ratio=lam_max / lam_min,
         ratio_bound=bound,
         steps=steps,
-        fast_path=False,
         meta={"barriers": (lower, upper), "forms": path},
     )
 

@@ -1,12 +1,15 @@
 import json
+import math
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
 from normdisc import cli
 from normdisc.cli import EXIT_OK, EXIT_TARGET, EXIT_USAGE, config_sha, main, parse_config, parse_seeds
-from normdisc.spaces import FrequencySet
+from normdisc.spaces import MAX_RULE_NODES, FrequencySet
 
 
 @pytest.fixture
@@ -176,17 +179,55 @@ def test_experiment_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
     assert started == [2]
 
 
-def test_experiment_l1_failure_exits_1(tmp_path):
+def test_experiment_l1_failure_exits_1(tmp_path, capsys):
     # a single point cannot discretize a 7-dim space: r_min collapses to 0
     cfg = ["space=cross:2:1", "m=1", "methods=random", "seeds=0", "l1=true", "effort=quick"]
     assert main(["experiment", "--config", *cfg, "--out", str(tmp_path / "c.csv")]) == EXIT_TARGET
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("failed: space cross:2:1 method random seed 0: r outside [0.5, 1.5] (r_min ")
 
 
-def test_experiment_eps_target(tmp_path):
+def test_experiment_eps_target(tmp_path, capsys):
     cfg = ["space=cross:2:1", "m=48", "methods=greedy", "seeds=0", "eps_target=0.5"]
     assert main(["experiment", "--config", *cfg, "--out", str(tmp_path / "d.csv")]) == EXIT_OK
-    cfg = ["space=cross:2:1", "m=8", "methods=random", "seeds=0", "eps_target=1e-9"]
+    assert capsys.readouterr().err == ""
+    cfg = ["space=cross:2:1", "m=8", "methods=random,greedy", "seeds=0..1", "eps_target=1e-9"]
     assert main(["experiment", "--config", *cfg, "--out", str(tmp_path / "e.csv")]) == EXIT_TARGET
+    rows = [line.split(",") for line in (tmp_path / "e.csv").read_text().splitlines()[2:]]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"failed: space cross:2:1 method {r[3]} seed {r[4]}: eps {r[5]} > target 1e-09" for r in rows]
+    assert len(err) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["discretize", "--space", "cross:6:3"],  # exact grid 127^3 passes; its rule at oversample 4 is 508^3 = 131M nodes
+    ["freqset", "--space", "cross:24:1"],  # 2^25 - 1 frequencies
+    ["freqset", "--space", "cross:2:1000"],  # 3^1000 dyadic blocks
+    ["freqset", "--space", "box:100000x100000"],
+    ["discretize", "--space", "cross:2:1", "--oversample", "10000000"],  # 70M nodes
+])
+def test_oversized_input_fails_before_allocating(argv, capsys):
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 20e6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "MAX_RULE_NODES = 16,777,216" in captured.err
+
+
+def test_largest_spaces_in_use_pass_the_cap():
+    # the largest rule a test builds (cross:6:2), and the largest the roadmap plans: cross:4:3 at the L1 reference's oversample 8
+    for spec, oversample in (("cross:6:2", 4), ("cross:8:2", 4), ("cross:4:3", 8)):
+        assert math.prod(oversample * (2 * int(v) + 1) for v in cli.parse_space(spec).max_abs) <= MAX_RULE_NODES
 
 
 def test_config_sha_tracks_content(tmp_path):

@@ -22,16 +22,12 @@ from normdisc.l2disc import (
 )
 from normdisc.spaces import (
     GRAM_BLOCK_ROWS,
-    OrthonormalSystem,
     PointSet,
-    Quadrature,
     TrigBasis,
     build_box,
     build_hyperbolic_cross,
     grid_P,
     real_trig_system,
-    real_trig_system_on_grid,
-    tabulated_system,
     weighted_gram,
 )
 
@@ -121,16 +117,6 @@ class TestRandomPointsets:
             _, c4 = random_l2_pointset(trig7, 224, seed=seed + 1000)
             assert c1.eps / c4.eps > 1.1
 
-    def test_discrete_domain_sampling(self, cross2):
-        from normdisc.spaces import real_trig_system_on_grid
-
-        system = real_trig_system_on_grid(cross2, 16)
-        ps, cert = random_l2_pointset(system, 64, seed=0)
-        assert cert.eps < 1.0
-        # samples come from the grid
-        grid = {tuple(np.round(p, 9)) for p in system.quadrature.nodes}
-        assert all(tuple(np.round(p, 9)) in grid for p in ps.points)
-
 
 @pytest.mark.parametrize("m", [0, -2])
 @pytest.mark.parametrize("build", [random_l2_pointset, frobenius_rga_pointset], ids=["random", "greedy"])
@@ -188,13 +174,12 @@ class TestFrobeniusGreedy:
         for p in (0, 1, 5, U.shape[0] // 3, U.shape[0] - 1):
             assert np.abs(column(p) - U @ U[p]).max() < 1e-12
 
-    def test_kernel_path_recorded(self, trig7, cross2, rng):
+    def test_kernel_path_recorded(self, trig7, rng):
         assert frobenius_rga_pointset(trig7, 3).meta == {"n_candidates": 28, "kernel": "shift"}
         cand = rng.uniform(0, 2 * math.pi, size=(40, 1))
         assert frobenius_rga_pointset(trig7, 3, candidates=cand).meta["kernel"] == "table"
-        assert frobenius_rga_pointset(real_trig_system_on_grid(cross2, 16), 3).meta["kernel"] == "table"
-        tab = tabulated_system(trig7.quad_values, trig7.quadrature.nodes)
-        assert frobenius_rga_pointset(tab, 3).meta["kernel"] == "table"
+        own = frobenius_rga_pointset(trig7, 3, candidates=trig7.quadrature.nodes)  # the system's own nodes
+        assert own.meta == {"n_candidates": 28, "kernel": "table"}
 
     def test_first_pick_is_node_zero(self):
         for Q in (build_hyperbolic_cross(2, 1), build_hyperbolic_cross(4, 2), build_hyperbolic_cross(2, 3)):
@@ -271,18 +256,16 @@ class TestBarrierSparsify:
         assert np.array_equal(fft.pointset.points, table.pointset.points)
         assert np.allclose(fft.pointset.weights, table.pointset.weights, rtol=1e-9, atol=0)
 
-    def test_forms_path_recorded(self, cross2, trig7, rng):
+    def test_forms_path_recorded(self):
         system = real_trig_system(build_box([3]), oversample=8)
         assert bss_weighted_sparsify(system, 4.0).meta["forms"] == "fft"
         assert bss_weighted_sparsify(system, 4.0, candidates=system.quadrature.nodes).meta["forms"] == "table"
-        assert bss_weighted_sparsify(real_trig_system_on_grid(cross2, 40), 4.0).meta["forms"] == "table"
-        tab = tabulated_system(system.quad_values, system.quadrature.nodes)
-        assert bss_weighted_sparsify(tab, 4.0).meta["forms"] == "table"
+        cand = real_trig_system(build_box([3]), oversample=12).quadrature.nodes  # another exact set
+        assert bss_weighted_sparsify(system, 4.0, candidates=cand).meta["forms"] == "table"
 
     def test_guarantees_hold(self):
         system = real_trig_system(build_box([3]), oversample=8)  # 56 candidates
         res = bss_weighted_sparsify(system, 4.0)
-        assert not res.fast_path
         assert res.support <= math.ceil(4 * 7)
         assert res.ratio <= 9.0 + 1e-9
         assert res.steps == 28
@@ -310,7 +293,7 @@ class TestBarrierSparsify:
     def test_fast_path(self):
         system = real_trig_system(build_box([3]), oversample=4)  # 28 == ceil(4*7)
         res = bss_weighted_sparsify(system, 4.0)
-        assert res.fast_path
+        assert res.steps == 0
         assert res.ratio == 1.0
         assert res.support == 28
 
@@ -330,12 +313,10 @@ class TestBarrierSparsify:
             bss_weighted_sparsify(trig7, d)
 
     def test_point_set_does_not_follow_table_rounding(self):
-        # the same nodes without "sizes": the table comes from evaluate, off by ~1e-14
-        system = real_trig_system(build_hyperbolic_cross(3, 2))
-        quad = Quadrature(system.quadrature.nodes, system.quadrature.weights)
-        direct = OrthonormalSystem("direct", system.basis, quad, system.constants)
+        # the nodes as explicit candidates: their table comes from evaluate, and the forms differ from the fft forms by ~1e-14
+        system = real_trig_system(build_hyperbolic_cross(3, 2), oversample=1)  # D = Q - Q aliases mod sizes
         a = bss_weighted_sparsify(system, 4.0).pointset
-        b = bss_weighted_sparsify(direct, 4.0).pointset
+        b = bss_weighted_sparsify(system, 4.0, candidates=system.quadrature.nodes).pointset
         assert np.array_equal(a.points, b.points)
         assert np.allclose(a.weights, b.weights, rtol=1e-9, atol=0)
 
@@ -353,7 +334,7 @@ class TestBarrierSparsify:
         for Q in (build_box([3]), build_hyperbolic_cross(3, 2)):
             system = real_trig_system(Q, oversample=8)
             assert calls == []  # construction proves orthonormality on Q alone
-            assert not bss_weighted_sparsify(system, 4.0).fast_path
+            assert bss_weighted_sparsify(system, 4.0).steps > 0
             assert calls == []  # the forms are polynomials on Q - Q, valued by one FFT each
 
     def test_explicit_candidates_are_checked(self, trig7, monkeypatch):

@@ -25,12 +25,11 @@ from normdisc.spaces import (
     poly_norm,
     random_trig_poly,
     real_trig_system,
-    real_trig_system_on_grid,
-    tabulated_system,
     torus_grid,
-    translate_poly,
     weighted_gram,
 )
+
+NO_SIZES = "needs a tensor rule \\(meta\\['sizes'\\]\\)"  # the message of Quadrature.tensor_sizes
 
 
 class TestFrequencySets:
@@ -111,7 +110,7 @@ class TestTrigPolynomials:
     def test_parseval(self, rng):
         q = build_box([4])
         f = random_trig_poly(q, rng)
-        assert poly_norm(f, 2) == pytest.approx(f.l2_norm(), abs=1e-10)
+        assert poly_norm(f, 2) == pytest.approx(np.linalg.norm(f.coeffs), abs=1e-10)
 
     def test_real_sampler_is_real(self, rng):
         q = build_hyperbolic_cross(3, 1)
@@ -123,7 +122,7 @@ class TestTrigPolynomials:
         q = build_box([3])
         f = random_trig_poly(q, rng)
         y = 1.1
-        g = translate_poly(f, y)
+        g = TrigPolynomial(q, f.coeffs * np.exp(-1j * q.array[:, 0] * y))  # f(. - y)
         x = np.array([[0.4], [2.2]])
         assert np.allclose(g.evaluate(x), f.evaluate(x - y))
 
@@ -148,7 +147,7 @@ class TestGridIdentities:
         for _ in range(5):
             f = random_trig_poly(q, rng)
             vals = f.evaluate(pts)
-            assert (np.abs(vals) ** 2).mean() == pytest.approx(f.l2_norm() ** 2, abs=1e-10)
+            assert (np.abs(vals) ** 2).mean() == pytest.approx(np.linalg.norm(f.coeffs) ** 2, abs=1e-10)
 
     def test_grid_size(self):
         assert grid_P([3]).m == 7
@@ -185,7 +184,8 @@ class TestNorms:
 
     def test_sup_norm_refinement_beats_grid(self):
         # peak deliberately off the coarse grid
-        f = translate_poly(dirichlet_poly(build_box([6])), 0.123456)
+        q = build_box([6])
+        f = TrigPolynomial(q, np.exp(-1j * q.array[:, 0] * 0.123456))  # D_Q(. - 0.123456)
         coarse = Quadrature.tensor_torus([6], oversample=1)
         refined = poly_norm(f, math.inf, coarse)
         assert refined == pytest.approx(13.0, rel=1e-6)
@@ -226,12 +226,6 @@ class TestValuesOnQuadrature:
         direct = f.evaluate(quad.nodes)
         assert np.abs(f.values_on(quad) - direct).max() <= 1e-12 * np.abs(direct).max()
 
-    def test_discrete_rule_takes_the_direct_path(self, rng):
-        q = build_box([2, 1])
-        f = random_trig_poly(q, rng)
-        quad = Quadrature.discrete_uniform(Quadrature.tensor_torus(q.max_abs).nodes)
-        assert np.array_equal(f.values_on(quad), f.evaluate(quad.nodes))
-
     def test_rule_of_another_dimension_is_rejected(self, rng):
         f = random_trig_poly(build_box([2, 1]), rng)
         with pytest.raises(ValueError):
@@ -263,7 +257,7 @@ class TestQuadrature:
     def test_exact_for_products(self, rng):
         # oversample 4 integrates u_i * u_j exactly
         sys = real_trig_system(build_box([2]))
-        g = sys.gram()
+        g = weighted_gram(sys.quad_values, sys.quadrature.weights)
         assert np.abs(g - np.eye(sys.size)).max() < 1e-12
 
     def test_gram_over_row_blocks(self, trig7, rng):
@@ -272,11 +266,12 @@ class TestQuadrature:
         weights = rng.dirichlet(np.ones(u.shape[0]))
         assert np.abs(weighted_gram(u, weights) - (u * weights[:, None]).T @ u).max() < 1e-12
 
-    def test_discrete(self):
-        pts = np.array([[0.0], [1.0], [2.0]])
-        q = Quadrature.discrete_uniform(pts)
-        assert q.meta["discrete"] and np.array_equal(q.nodes, pts)
-        assert q.weights @ np.array([3.0, 6.0, 9.0]) == pytest.approx(6.0)
+    def test_node_count_is_capped(self, monkeypatch):
+        monkeypatch.setattr(spaces, "MAX_RULE_NODES", 100)
+        assert Quadrature.tensor_torus([3, 3], oversample=1).size == 49
+        monkeypatch.setattr(spaces, "torus_grid", lambda sizes: pytest.fail("nodes built past the cap"))
+        with pytest.raises(ValueError, match="tensor rule of 196 nodes exceeds MAX_RULE_NODES = 100"):
+            Quadrature.tensor_torus([3, 3], oversample=2)
 
 
 def tensor_rule(sizes) -> Quadrature:
@@ -407,43 +402,27 @@ class TestOrthonormalSystems:
             assert trig7.span_norm(coeffs, p) == pytest.approx(poly_norm(f, p, trig7.quadrature), abs=1e-9)
 
     def test_grid_system(self, cross2):
-        sys = real_trig_system_on_grid(cross2, 16)
+        # the trig system on a uniform grid of a chosen size, not the one tensor_torus picks
+        sys = OrthonormalSystem("grid", TrigBasis(cross2), tensor_rule([16]))
         assert sys.size == 7
-        assert sys.condition_d
+        assert np.abs(sys.christoffel(sys.quadrature.nodes) - 7).max() < 1e-12
 
     def test_grid_system_too_coarse_rejected(self, cross2):
         with pytest.raises(ValueError, match="Gram"):
-            real_trig_system_on_grid(cross2, 6)  # 3 = -3 mod 6
+            OrthonormalSystem("grid", TrigBasis(cross2), tensor_rule([6]))  # 3 = -3 mod 6
 
     def test_grid_system_needs_only_distinct_residues(self):
         # 5 <= 2 * max|k| = 6, yet 0, 1, 4, 3, 2 = k mod 5 are distinct
-        sys = real_trig_system_on_grid(freqset([(0,), (1,), (-1,), (3,), (-3,)]), 5)
-        assert np.abs(sys.gram() - np.eye(5)).max() <= 1e-12
+        sys = OrthonormalSystem("grid", TrigBasis(freqset([(0,), (1,), (-1,), (3,), (-3,)])), tensor_rule([5]))
+        assert np.abs(weighted_gram(sys.quad_values, sys.quadrature.weights) - np.eye(5)).max() <= 1e-12
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             real_trig_system(freqset([(0,), (1,)]))
 
-    def test_tabulated_roundtrip(self, trig7):
-        vals = trig7.evaluate(trig7.quadrature.nodes)
-        sys = tabulated_system(vals)
-        assert sys.size == 7
-        assert sys.condition_d
-        g = sys.gram()
-        assert np.abs(g - np.eye(7)).max() < 1e-8
-
-    def test_tabulated_christoffel_is_measured(self):
-        # orthonormal columns under the uniform measure on 4 points, w = 3, 3, 1, 1
-        r = math.sqrt(2.0)
-        sys = tabulated_system(np.array([[1.0, r], [1.0, -r], [1.0, 0.0], [1.0, 0.0]]))
-        assert not sys.condition_d
-        assert sys.constants.t == pytest.approx(math.sqrt(1.5))
-        with pytest.raises(ValueError, match="N t\\^2"):
-            OrthonormalSystem("capped", sys.basis, sys.quadrature, constants=SystemConstants(t=1.2))
-
     def test_construction_checks_gram_and_christoffel_cap(self, trig7, rng):
         quad = Quadrature(rng.uniform(0, 2 * math.pi, size=(50, 1)), np.full(50, 1 / 50))
-        with pytest.raises(ValueError, match="Gram"):
+        with pytest.raises(ValueError, match=NO_SIZES):
             OrthonormalSystem("off-grid", trig7.basis, quad)
         with pytest.raises(ValueError, match="N t\\^2"):
             OrthonormalSystem("capped", trig7.basis, trig7.quadrature, constants=SystemConstants(t=0.5))
@@ -466,12 +445,19 @@ class TestOrthonormalSystems:
         assert np.abs(sys.quad_values - sys.basis.evaluate(sys.quadrature.nodes)).max() <= 1e-13
 
     @pytest.mark.parametrize("sizes", [[6, 7], [7, 6], [4, 4]])
-    def test_tensor_rule_too_coarse_fails_the_gram_check(self, sizes):
-        # the nodes of a rule that aliases two frequencies of the cross, without "sizes": the numeric Gram check
-        basis = TrigBasis(build_hyperbolic_cross(2, 2))
+    def test_tensor_rule_too_coarse_fails_the_gram_check(self, sizes, rng):
+        # the nodes of a rule that aliases two frequencies of the cross, without "sizes": every consumer refuses the rule
+        Q = build_hyperbolic_cross(2, 2)
         quad = Quadrature(torus_grid(sizes), np.full(math.prod(sizes), 1.0 / math.prod(sizes)))
-        with pytest.raises(ValueError, match="Gram"):
-            OrthonormalSystem("coarse", basis, quad)
+        entry_points = [
+            lambda quad: OrthonormalSystem("coarse", TrigBasis(Q), quad),
+            TrigBasis(Q).values_on,
+            random_trig_poly(Q, rng).values_on,
+            Quadrature.axis_spacing,
+        ]
+        for entry in entry_points:
+            with pytest.raises(ValueError, match=NO_SIZES):
+                entry(quad)
 
     @pytest.mark.parametrize("sizes", [[6, 7], [7, 6], [4, 4]])
     def test_tensor_rule_too_coarse_fails_the_difference_set_check(self, sizes):
@@ -486,7 +472,7 @@ class TestOrthonormalSystems:
         monkeypatch.setattr(TrigBasis, "values_on", lambda self, quad: tables.append(quad) or values_on(self, quad))
         sys = real_trig_system(build_hyperbolic_cross(4, 2))
         assert calls == []
-        assert tables == [] and sys.condition_d  # w = N is an identity of the basis: no table is built
+        assert tables == []  # w = N is an identity of the basis: no table is built
         sys.quad_values
         assert tables == [sys.quadrature]
 
@@ -500,29 +486,14 @@ class TestOrthonormalSystems:
             tracemalloc.stop()
         assert peak < 50e6
 
-    def test_other_systems_keep_the_gram_product(self, cross2, trig7, monkeypatch):
+    def test_other_systems_keep_the_gram_product(self, trig7, monkeypatch):
+        # there is no other system: the same nodes without "sizes" are refused, with no Gram product either way
         calls = []
         monkeypatch.setattr(spaces, "weighted_gram", lambda *a: calls.append(a) or weighted_gram(*a))
-        real_trig_system_on_grid(cross2, 16)
-        assert len(calls) == 1
-        tabulated_system(trig7.quad_values)
-        assert len(calls) == 2
-        OrthonormalSystem("no sizes", trig7.basis, Quadrature(trig7.quadrature.nodes, trig7.quadrature.weights))
-        assert len(calls) == 3
+        with pytest.raises(ValueError, match=NO_SIZES):
+            OrthonormalSystem("no sizes", trig7.basis, Quadrature(trig7.quadrature.nodes, trig7.quadrature.weights))
         OrthonormalSystem("sizes", trig7.basis, trig7.quadrature)  # the difference-set check
-        assert len(calls) == 3
-
-    def test_discrete_rule_table_is_evaluated(self, cross2, monkeypatch):
-        seen = []
-        evaluate = TrigBasis.evaluate
-
-        def spy(self, points):
-            seen.append(points)
-            return evaluate(self, points)
-
-        monkeypatch.setattr(TrigBasis, "evaluate", spy)
-        sys = real_trig_system_on_grid(cross2, 16)
-        assert any(p is sys.quadrature.nodes for p in seen)
+        assert calls == []
 
     def test_tensor_rule_of_another_dimension_is_rejected(self, trig7):
         with pytest.raises(ValueError):
