@@ -22,6 +22,7 @@ DISCRETIZE_M = 64  # discretize --m when not given
 METHODS = ("random", "greedy", "bss", "grid")
 
 CSV_COLUMNS = ("space", "N", "m", "method", "seed", "eps", "r_min", "r_max", "runtime_ms")
+MAX_SPACE_ENTRIES = 2**18  # cap on |Q| * d of a parsed space, whose frequency set holds |Q| tuples of d ints
 
 
 def check_exact_grid(axis_sizes) -> None:
@@ -37,19 +38,28 @@ def check_exact_grid(axis_sizes) -> None:
             raise ValueError(f"its smallest exact grid has more than MAX_RULE_NODES = {MAX_RULE_NODES:,} nodes")
 
 
+def check_space_entries(dim: int, counts) -> None:
+    """Refuse a space whose |Q|, the sum of ``counts``, times ``dim`` exceeds ``MAX_SPACE_ENTRIES``; the sum stops past the cap."""
+    if any(total * dim > MAX_SPACE_ENTRIES for total in itertools.accumulate(counts)):
+        raise ValueError(f"its frequency set has more than MAX_SPACE_ENTRIES = {MAX_SPACE_ENTRIES:,} entries |Q| * d")
+
+
 def parse_space(spec: str) -> FrequencySet:
-    """cross:<n>:<dim> or box:<N1>x<N2>x..., refused before it is built when its exact grid is too large."""
+    """cross:<n>:<dim> or box:<N1>x<N2>x..., refused before it is built when its exact grid or its frequency set is too large."""
     kind, _, rest = spec.partition(":")
     try:
         if kind == "cross":
             n_str, _, d_str = rest.partition(":")
             n, dim = int(n_str), int(d_str or "1")
-            # max |k_j| = 2^n - 1 on each axis; from n = 24 on, one axis alone is past the cap
-            check_exact_grid(itertools.repeat(2 ** (min(n, 24) + 1) - 1, max(dim, 0)))
+            # max |k_j| = 2^n - 1 on each axis; from n = 24 on, one axis alone is past the cap, as are 25 axes of 3 nodes
+            check_exact_grid(itertools.repeat(2 ** (min(n, 24) + 1) - 1, min(max(dim, 0), 25)))
+            # the blocks with ||s||_1 = k hold 2^k frequencies each, and there are C(k + d - 1, d - 1) of them
+            check_space_entries(dim, (2**k * math.comb(k + dim - 1, k) for k in range(n + 1 if dim > 0 else 0)))
             return build_hyperbolic_cross(n, dim)
         if kind == "box":
             n_vec = [int(v) for v in rest.split("x")]
             check_exact_grid(2 * max(v, 0) + 1 for v in n_vec)
+            check_space_entries(len(n_vec), [math.prod(2 * max(v, 0) + 1 for v in n_vec)])
             return build_box(n_vec)
     except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad space spec {spec!r}: {exc}") from None

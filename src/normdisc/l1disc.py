@@ -297,10 +297,10 @@ def _optimize_ratio(C0: np.ndarray, point_values: np.ndarray, quad_values: np.nd
     """Batched coordinate descent on the ratio; sign=+1 minimizes, -1 maximizes.
 
     Works on the real and imaginary parts of one coefficient at a time with
-    a shrinking step, renormalizing rows to the coefficient sphere after
-    every sweep (the objective is scale invariant).  Rows whose true norm
-    collapses below ``min_l1`` are re-randomized: the ratio is undefined in
-    the limit and its subgradients are useless there.
+    a shrinking step, renormalizing every trial's rows to the coefficient
+    sphere before they are scored (the objective is scale invariant).  Rows
+    whose true norm collapses below ``min_l1`` are re-randomized: the ratio
+    is undefined in the limit and its subgradients are useless there.
     """
     C = C0.copy()
     nq = C.shape[1]
@@ -407,7 +407,7 @@ def nikolskii_check(Q: FrequencySet, sample_size: int = 100, seed: int = 0, p_li
         c = rng.standard_normal(len(Q)) + 1j * rng.standard_normal(len(Q))
         f = TrigPolynomial(Q, c)
         values = f.values_on(quad)
-        sup = sup_norm_on_grid(f.evaluate, quad, values)
+        sup = sup_norm_on_grid(f, quad, values)
         for p in p_list:
             const = len(Q) if p < 2 else math.sqrt(len(Q))
             np_norm = norm_values_lp(values, quad.weights, p)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -200,12 +201,20 @@ def test_experiment_eps_target(tmp_path, capsys):
     assert len(err) == 4
 
 
+OVERSIZED_SETS = [  # exact grids under MAX_RULE_NODES, frequency sets over MAX_SPACE_ENTRIES
+    ["freqset", "--space", "box:1000000"],  # 2,000,001 frequencies
+    ["freqset", "--space", "cross:20:1"],  # 2^21 - 1 frequencies
+    ["freqset", "--space", "cross:0:1000000"],  # one frequency of a million coordinates
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["discretize", "--space", "cross:6:3"],  # exact grid 127^3 passes; its rule at oversample 4 is 508^3 = 131M nodes
     ["freqset", "--space", "cross:24:1"],  # 2^25 - 1 frequencies
     ["freqset", "--space", "cross:2:1000"],  # 3^1000 dyadic blocks
     ["freqset", "--space", "box:100000x100000"],
     ["discretize", "--space", "cross:2:1", "--oversample", "10000000"],  # 70M nodes
+    *OVERSIZED_SETS,
 ])
 def test_oversized_input_fails_before_allocating(argv, capsys):
     tracemalloc.start()
@@ -221,7 +230,18 @@ def test_oversized_input_fails_before_allocating(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "MAX_RULE_NODES = 16,777,216" in captured.err
+    cap = "MAX_SPACE_ENTRIES = 262,144" if argv in OVERSIZED_SETS else "MAX_RULE_NODES = 16,777,216"
+    assert cap in captured.err
+
+
+@pytest.mark.parametrize("spec", ["cross:0:1", "cross:3:1", "cross:4:2", "cross:3:3", "cross:1:5", "box:4", "box:3x0x2"])
+def test_space_entries_count_the_built_set(spec, monkeypatch):
+    Q = cli.parse_space(spec)
+    monkeypatch.setattr(cli, "MAX_SPACE_ENTRIES", len(Q) * Q.dim)
+    assert cli.parse_space(spec) == Q
+    monkeypatch.setattr(cli, "MAX_SPACE_ENTRIES", len(Q) * Q.dim - 1)
+    with pytest.raises(argparse.ArgumentTypeError, match="MAX_SPACE_ENTRIES"):
+        cli.parse_space(spec)
 
 
 def test_largest_spaces_in_use_pass_the_cap():

@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -189,6 +191,49 @@ class TestNorms:
         coarse = Quadrature.tensor_torus([6], oversample=1)
         refined = poly_norm(f, math.inf, coarse)
         assert refined == pytest.approx(13.0, rel=1e-6)
+
+    # (n, d) of cross:n:d and oversample; cross:2:3 at 4 x 8 would need an 11M-node check grid
+    REFINED = [((4, 1), 1), ((4, 1), 4), ((4, 1), 8), ((3, 2), 1), ((3, 2), 4), ((3, 2), 8), ((2, 3), 1), ((2, 3), 4), ((1, 3), 8)]
+
+    @pytest.mark.parametrize("spec, oversample", REFINED, ids=[f"cross:{n}:{d}-os{o}" for (n, d), o in REFINED])
+    def test_newton_refinement_bounds(self, spec, oversample):
+        q = build_hyperbolic_cross(*spec)
+        quad = Quadrature.tensor_torus(q.max_abs, oversample=oversample)
+        fine = Quadrature.tensor_torus(q.max_abs, oversample=4 * oversample)
+        rng = np.random.default_rng([*spec, oversample])
+        for i in range(6):
+            f = random_trig_poly(q, rng, real=i % 2 == 0)
+            sup = poly_norm(f, math.inf, quad)
+            assert sup >= np.abs(f.values_on(quad)).max()
+            assert sup <= np.abs(f.coeffs).sum() * (1 + 1e-12)
+            # without oversampling a peak can lie where none of the top grid nodes is near, and a local
+            # search from them misses it; from oversample 4 on the refined value is the true peak
+            if oversample > 1:
+                assert sup >= np.abs(f.values_on(fine)).max() * (1 - 1e-9)
+
+    def test_zero_polynomial_has_zero_sup(self):
+        q = build_hyperbolic_cross(2, 2)
+        assert poly_norm(TrigPolynomial(q, np.zeros(len(q))), math.inf) == 0.0
+
+    @pytest.mark.parametrize("spec", [(3, 1), (2, 2), (2, 3)])
+    def test_span_sup_norm_is_the_exponential_form(self, spec, rng):
+        system = real_trig_system(build_hyperbolic_cross(*spec))
+        for _ in range(4):
+            c = rng.standard_normal(system.size)
+            f = TrigPolynomial(system.freqs, system.basis.exp_coeffs(c[:, None])[:, 0])
+            assert system.span_norm(c, math.inf) == pytest.approx(poly_norm(f, math.inf, system.quadrature), rel=1e-12)
+
+    def test_sup_norms_leave_scipy_optimize_unloaded(self):
+        code = (
+            "import sys, math, numpy as np; from normdisc import spaces\n"
+            "q = spaces.build_hyperbolic_cross(2, 2); rng = np.random.default_rng(0)\n"
+            "spaces.poly_norm(spaces.random_trig_poly(q, rng), math.inf)\n"
+            "spaces.real_trig_system(q).span_norm(rng.standard_normal(len(q)), math.inf)\n"
+            "print('scipy.optimize' in sys.modules)"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
 
     @given(st.floats(min_value=0.5, max_value=4.0))
     def test_scaling(self, scale):
