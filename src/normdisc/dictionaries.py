@@ -42,6 +42,8 @@ from .spaces import (
     torus_grid,
 )
 
+SCALED_BASIS = "scaled-basis-signed"  # the kind of scaled_basis_dict, whose atoms greedy.ia selects from without building them
+
 
 @dataclass
 class Dictionary:
@@ -215,7 +217,7 @@ def scaled_basis_dict(system: OrthonormalSystem) -> Dictionary:
     atoms = np.empty((n, 2 * n))
     atoms[:, 0::2] = eye
     atoms[:, 1::2] = -eye
-    return Dictionary(kind="scaled-basis-signed", field="real", atoms=atoms, meta={"scale": scale})
+    return Dictionary(kind=SCALED_BASIS, field="real", atoms=atoms, meta={"scale": scale})
 
 
 def symmetrize(d: Dictionary) -> Dictionary:

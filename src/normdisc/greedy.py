@@ -1,7 +1,6 @@
 """Greedy solvers with hard per-step guarantees.
 
-Three engines, all selecting from finite :class:`~normdisc.dictionaries.Dictionary`
-objects:
+Three engines, all selecting from finite dictionaries of atoms:
 
 * :func:`oga` orthogonal greedy with optional weak selection.  For a target
   whose membership in ``mass * A1(D)`` is certified, the residual after m
@@ -10,8 +9,9 @@ objects:
   target in A1(D) the L2 residual obeys ``2 / sqrt(m)``; by telescoping the
   output is the plain average of the selected atoms, so its A1 mass is
   conserved in the representation sense.
-* :func:`ia` incremental greedy in L_p, driven by norming functionals and a
-  tolerance schedule; used to sparsify in the uniform norm via moderate p.
+* :func:`ia` incremental greedy in L_p over the signed scaled basis, driven
+  by norming functionals and a tolerance schedule, with no value table; used
+  to sparsify in the uniform norm via moderate p.
 
 The bounds recorded in a :class:`GreedyRun` are *guarantees*, not estimates:
 tests assert ``residual <= bound + BOUND_SLACK`` with zero violations.  The
@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dictionaries import (
+    SCALED_BASIS,
     Dictionary,
     argmax_inner_product,
     exponential_dict,
@@ -35,7 +36,7 @@ from .dictionaries import (
     scaled_kernel_dict,
     symmetrize,
 )
-from .spaces import MissingConstant, OrthonormalSystem, norm_values_lp
+from .spaces import MissingConstant, OrthonormalSystem, TrigPolynomial, norm_values_lp
 
 STOP_TOL = 1e-14
 BOUND_SLACK = 1e-10  # rounding allowance of GreedyRun.bound_violations
@@ -178,39 +179,47 @@ class Schedule:
         return cls(beta=beta, gamma=(p - 1.0) / 2.0, q=2.0)
 
 
-def ia(system: OrthonormalSystem, target: np.ndarray, p: float, steps: int, schedule: Schedule | None = None, dictionary: Dictionary | None = None) -> GreedyRun:
-    """Incremental greedy in L_p driven by norming functionals.
+def ia(system: OrthonormalSystem, target: np.ndarray, p: float, steps: int, schedule: Schedule | None = None) -> GreedyRun:
+    """Incremental greedy in L_p over the signed scaled basis ±u_i/sqrt(K2), driven by norming functionals.
 
-    The target (ambient coefficients, certified inside A1 of the dictionary)
-    is approximated by averages G_m = (1/m) sum phi_k where each phi_m must
+    The target (ambient coefficients, certified inside A1 of those atoms) is
+    approximated by averages G_m = (1/m) sum phi_k where each phi_m must
     satisfy F_{f - G_{m-1}}(phi_m - f) >= -eps_m; we select the atom
     maximizing F and verify the condition, raising
-    :class:`GreedyStepInfeasible` on failure.  Norms and functionals are
-    evaluated on the system quadrature; the grid sup-norm of every residual
-    is recorded in ``meta["sup_norms"]``.
+    :class:`GreedyStepInfeasible` on failure.  Each step values the residual
+    at the quadrature nodes by one inverse FFT, and F at every atom by one
+    forward FFT of the density: dens . u_i = Re sum_k E_ki conj(fftn(dens)[k
+    mod sizes]), E = ``basis.exp_coeffs``.  The grid sup-norm of every
+    residual is recorded in ``meta["sup_norms"]``.
     """
     if p < 2:
         raise ValueError("incremental greedy implemented for p >= 2")
-    if dictionary is None:
-        dictionary = scaled_basis_dict(system)
+    if system.constants.k2 is None:
+        raise MissingConstant("incremental greedy over the scaled basis needs k2")
     if schedule is None:
         schedule = Schedule.for_lp(p)
     target = np.asarray(target, dtype=float)
-    w = system.quadrature.weights
-    tv = system.quad_values @ target
-    AV = system.quad_values @ dictionary.atoms  # (nodes, atoms)
+    quad, n = system.quadrature, system.size
+    sizes = quad.tensor_sizes(system.dim)
+    cells = np.ravel_multi_index(tuple((system.freqs.array % sizes).T), sizes)  # where fftn puts each k of Q
+    E = system.basis.exp_coeffs(np.eye(n))  # column i: the exponential coefficients of u_i
+    scale = 1.0 / math.sqrt(system.constants.k2)
+    w = quad.weights
+    tv = TrigPolynomial(system.freqs, E @ target).values_on(quad).real
     Gc = np.zeros_like(target)
-    Gv = np.zeros_like(tv)
-    hv = tv - Gv  # the residual's values at the nodes
-    norms = [norm_values_lp(hv, w, p)]
-    sups = [float(np.abs(hv).max())]
+    hv = tv  # the residual's values at the nodes
+    a = np.abs(hv)
+    norms = [norm_values_lp(a, w, p)]
+    sups = [float(a.max())]
     selected: list[int] = []
+    Fvals = np.empty(2 * n)  # the functional at the atoms +u_i/sqrt(K2), -u_i/sqrt(K2), interleaved
     for j in range(1, steps + 1):
         nh = norms[-1]
         if nh < STOP_TOL * max(1.0, norms[0]):
             break
-        dens = w * np.abs(hv / nh) ** (p - 1.0) * np.sign(hv)
-        Fvals = dens @ AV
+        dens = w * (a / nh) ** (p - 1.0) * np.sign(hv)
+        Fvals[0::2] = scale * (np.conj(np.fft.fftn(dens.reshape(sizes)).reshape(-1)[cells]) @ E).real
+        Fvals[1::2] = -Fvals[0::2]
         Ff = float(dens @ tv)
         eps = schedule.epsilon(j)
         k = int(np.argmax(Fvals))
@@ -219,16 +228,17 @@ def ia(system: OrthonormalSystem, target: np.ndarray, p: float, steps: int, sche
                 f"step {j}: best functional gap {Fvals[k] - Ff:.3e} below -eps = {-eps:.3e}"
             )
         selected.append(k)
-        Gc = (1.0 - 1.0 / j) * Gc + dictionary.atoms[:, k] / j
-        Gv = (1.0 - 1.0 / j) * Gv + AV[:, k] / j
-        hv = tv - Gv
-        norms.append(norm_values_lp(hv, w, p))
-        sups.append(float(np.abs(hv).max()))
+        Gc = (1.0 - 1.0 / j) * Gc
+        Gc[k // 2] += (scale if k % 2 == 0 else -scale) / j
+        hv = TrigPolynomial(system.freqs, E @ (target - Gc)).values_on(quad).real
+        a = np.abs(hv)
+        norms.append(norm_values_lp(a, w, p))
+        sups.append(float(a.max()))
     m = len(selected)
     meta = {"p": p, "schedule": (schedule.beta, schedule.gamma, schedule.q), "sup_norms": np.array(sups)}
     return GreedyRun(
         algorithm="ia",
-        dictionary_kind=dictionary.kind,
+        dictionary_kind=SCALED_BASIS,
         m=m,
         residual_norms=np.array(norms),
         selected=selected,
@@ -274,12 +284,11 @@ def sup_norm_sparsify(system: OrthonormalSystem, target: np.ndarray, steps: int)
         raise MissingConstant("uniform-norm sparsification needs k2, k3, k4")
     p = default_sup_p(system)
     target = np.asarray(target, dtype=float)
-    d = scaled_basis_dict(system)
     mass_in = math.sqrt(c.k2) * float(np.abs(target).sum())
     if mass_in < STOP_TOL:
-        run = GreedyRun("ia", d.kind, 0, np.zeros(1), [], np.zeros(0), np.zeros_like(target))
+        run = GreedyRun("ia", SCALED_BASIS, 0, np.zeros(1), [], np.zeros(0), np.zeros_like(target))
         return SupSparsifyResult(run, np.zeros_like(target), 0.0, 0.0, 0.0, 0.0, p)
-    run = ia(system, target / mass_in, p=p, steps=steps, dictionary=d)
+    run = ia(system, target / mass_in, p=p, steps=steps)
     approx = run.approximant * mass_in
     sup_residual = system.span_norm(target - approx, math.inf)
     mass_repr = mass_in * float(run.coefficients.sum())
@@ -313,6 +322,7 @@ def two_stage_sup_approx(system: OrthonormalSystem, target: np.ndarray, steps: i
     signed scaled basis; the residual is then re-certified through its own
     coefficient mass and stage two sparsifies it in the uniform norm.  The
     headline effect is a residual decaying like 1/m instead of 1/sqrt(m).
+    A zero target gives the zero approximant with no terms.
     """
     c = system.constants
     if c.k2 is None:
@@ -322,7 +332,10 @@ def two_stage_sup_approx(system: OrthonormalSystem, target: np.ndarray, steps: i
     m2 = max(1, steps - m1)
     d = scaled_basis_dict(system)
     mass1 = math.sqrt(c.k2) * float(np.abs(target).sum())
-    run1 = rga(target / mass1, d, steps=m1, a1_certified=True)
+    if mass1 < STOP_TOL:
+        run1 = GreedyRun("rga", d.kind, 0, np.zeros(1), [], np.zeros(0), np.zeros_like(target))
+    else:
+        run1 = rga(target / mass1, d, steps=m1, a1_certified=True)
     stage1_approx = run1.approximant * mass1
     h = target - stage1_approx
     stage2 = sup_norm_sparsify(system, h, steps=m2)

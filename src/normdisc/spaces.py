@@ -591,32 +591,6 @@ class TrigBasis:
         np.conjugate(out[r + col :][::-1], out=out[:r])
         return out
 
-    def values_on(self, quad: Quadrature) -> np.ndarray:
-        """The (nodes, N) value table at the nodes of the tensor rule ``quad``, in node order.
-
-        exp(i <k, x>) is the product over the axes j of exp(i k_j x_j): each
-        axis contributes a small (s_j, R) character table from
-        ``FrequencySet.characters`` on its nodes, and the product is written
-        straight into the cos/sin columns viewed as one complex
-        (sizes..., R) array, with sqrt2 folded into the first factor.
-        """
-        sizes = quad.tensor_sizes(self.freqs.dim)
-        out = np.empty((quad.size, self.n_funcs))
-        col = int(self.has_const)
-        out[:, :col] = 1.0
-        # a view: each adjacent cos/sin pair of a row reads as one complex value
-        table = out.reshape(*sizes, self.n_funcs)[..., col:].view(complex)
-        factors = []  # (s_j, R): exp(i k_j x_j) at the nodes x_j of axis j
-        for j in range(len(sizes)):
-            axis_nodes = quad.nodes[: math.prod(sizes[j:]) : math.prod(sizes[j + 1 :]), j : j + 1]
-            ks, inverse = np.unique(self.rep_array[:, j], return_inverse=True)
-            factors.append(FrequencySet(1, tuple((k,) for k in ks.tolist())).characters(axis_nodes)[inverse].T)
-        head = np.full(len(self.reps), math.sqrt(2.0))
-        for factor in factors[:-1]:
-            head = head[..., None, :] * factor
-        np.multiply(head[..., None, :], factors[-1], out=table)
-        return out
-
 
 def weighted_gram(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_nu weights_nu u_nu u_nu^T over the rows u_nu of the (m, N) table ``u``.
@@ -637,8 +611,8 @@ class OrthonormalSystem:
 
     The quadrature must be an equal-weight tensor rule, and orthonormality
     is checked exactly on the difference set, by :func:`resolves_products`,
-    so construction builds no value table; ``quad_values`` is built on
-    first read.  When the constant t is declared, the christoffel function
+    so construction builds no value table, and neither does ``span_norm``.
+    When the constant t is declared, the christoffel function
     w(x) = sum_i u_i(x)^2 must satisfy w <= N t^2; w = N is an identity of
     the trigonometric basis (condition D), so that is N <= N t^2.
     """
@@ -672,19 +646,20 @@ class OrthonormalSystem:
 
     @cached_property
     def quad_values(self) -> np.ndarray:
-        """The (nodes, N) table of the basis at the quadrature nodes (see ``TrigBasis.values_on``)."""
-        return self.basis.values_on(self.quadrature)
+        """The (nodes, N) table of the basis at the quadrature nodes, read only by the second-moment oracle."""
+        return self.evaluate(self.quadrature.nodes)
 
     def christoffel(self, points) -> np.ndarray:
         u = self.evaluate(points)
         return (u * u).sum(axis=1)
 
     def span_norm(self, coeffs: np.ndarray, p: float) -> float:
-        coeffs = np.asarray(coeffs, dtype=float)
+        """L_p norm of sum_i coeffs_i u_i on the quadrature; its node values are one inverse FFT."""
+        f = TrigPolynomial(self.freqs, self.basis.exp_coeffs(np.asarray(coeffs, dtype=float)[:, None])[:, 0])
+        values = f.values_on(self.quadrature).real
         if math.isinf(p):
-            f = TrigPolynomial(self.freqs, self.basis.exp_coeffs(coeffs[:, None])[:, 0])
-            return sup_norm_on_grid(f, self.quadrature, self.quad_values @ coeffs)
-        return norm_values_lp(self.quad_values @ coeffs, self.quadrature.weights, p)
+            return sup_norm_on_grid(f, self.quadrature, values)
+        return norm_values_lp(values, self.quadrature.weights, p)
 
 
 def _trig_constants(Q: FrequencySet) -> SystemConstants:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from normdisc.dictionaries import (
 from normdisc.greedy import (
     GreedyStepInfeasible,
     Schedule,
+    _sample_coeff_ball,
     ia,
     oga,
     oga_bound,
@@ -22,7 +25,7 @@ from normdisc.greedy import (
     sup_norm_sparsify,
     two_stage_sup_approx,
 )
-from normdisc.spaces import build_box, real_trig_system
+from normdisc.spaces import OrthonormalSystem, build_box, build_hyperbolic_cross, real_trig_system
 
 
 def certified_mix(dictionary, rng, size, complex_phases=False):
@@ -181,8 +184,29 @@ class TestSupSparsify:
             sup_norm_sparsify(bad, np.ones(7), steps=4)
 
     def test_zero_target(self, trig7):
-        out = sup_norm_sparsify(trig7, np.zeros(7), steps=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no 0/0 on the way
+            out = sup_norm_sparsify(trig7, np.zeros(7), steps=4)
+            two = two_stage_sup_approx(trig7, np.zeros(7), steps=4)
         assert out.sup_residual == 0.0 and out.mass_in == 0.0
+        assert two.sup_residual == 0.0 and two.terms == 0 and not two.approx.any()
+        assert np.isfinite(two.stage1.residual_norms).all()
+
+    def test_uniform_norm_pipelines_build_no_table(self, monkeypatch):
+        # cross:6:2: 769 functions on 258,064 nodes, where the nodes x N table alone would take 1.6 GB
+        monkeypatch.setattr(OrthonormalSystem, "quad_values", property(lambda self: pytest.fail("quad_values read")))
+        tracemalloc.start()
+        try:
+            system = real_trig_system(build_hyperbolic_cross(6, 2))
+            f = _sample_coeff_ball(system, np.random.default_rng(0), 40)
+            one = sup_norm_sparsify(system, f, steps=8)
+            two = two_stage_sup_approx(system, f, steps=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert one.run.m == 8 and two.terms == 8
+        assert 0.0 < two.sup_residual and 0.0 < one.sup_residual
+        assert peak < 100e6
 
 
 class TestTwoStage:

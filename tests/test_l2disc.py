@@ -22,8 +22,8 @@ from normdisc.l2disc import (
 )
 from normdisc.spaces import (
     GRAM_BLOCK_ROWS,
+    OrthonormalSystem,
     PointSet,
-    TrigBasis,
     build_box,
     build_hyperbolic_cross,
     grid_P,
@@ -328,14 +328,14 @@ class TestBarrierSparsify:
         assert calls == []  # the system's own nodes: its construction proved them exact
 
     def test_default_candidates_build_no_table(self, monkeypatch):
-        calls = []
-        values_on = TrigBasis.values_on
-        monkeypatch.setattr(TrigBasis, "values_on", lambda self, quad: calls.append(quad) or values_on(self, quad))
+        reads = []
+        table = OrthonormalSystem.quad_values.func
+        monkeypatch.setattr(OrthonormalSystem, "quad_values", property(lambda self: reads.append(self) or table(self)))
         for Q in (build_box([3]), build_hyperbolic_cross(3, 2)):
             system = real_trig_system(Q, oversample=8)
-            assert calls == []  # construction proves orthonormality on Q alone
+            assert reads == []  # construction proves orthonormality on Q alone
             assert bss_weighted_sparsify(system, 4.0).steps > 0
-            assert calls == []  # the forms are polynomials on Q - Q, valued by one FFT each
+            assert reads == []  # the forms are polynomials on Q - Q, valued by one FFT each
 
     def test_explicit_candidates_are_checked(self, trig7, monkeypatch):
         nodes = real_trig_system(build_box([3]), oversample=8).quadrature.nodes

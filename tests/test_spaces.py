@@ -327,7 +327,7 @@ def tensor_rule(sizes) -> Quadrature:
 
 def numeric_verdict(Q: FrequencySet, quad: Quadrature) -> bool:
     """Whether the quadrature Gram of the real trig basis of a symmetric Q is the identity to 1e-8."""
-    return bool(np.abs(weighted_gram(TrigBasis(Q).values_on(quad), quad.weights) - np.eye(len(Q))).max() <= 1e-8)
+    return bool(np.abs(weighted_gram(TrigBasis(Q).evaluate(quad.nodes), quad.weights) - np.eye(len(Q))).max() <= 1e-8)
 
 
 def construction_verdict(Q: FrequencySet, quad: Quadrature) -> bool:
@@ -383,7 +383,6 @@ class TestDifferenceSetExactness:
         entry_points = [
             lambda quad: OrthonormalSystem("trig", TrigBasis(Q), quad),  # resolves_products
             random_trig_poly(Q, rng).values_on,
-            TrigBasis(Q).values_on,
         ]
         for entry in entry_points:
             for quad in (tensor_rule([7, 7, 1]), miscounted):
@@ -486,8 +485,11 @@ class TestOrthonormalSystems:
 
     @pytest.mark.parametrize("q,oversample", TABLE_SUPPORTS, ids=lambda v: f"{v.dim}d-{len(v)}" if isinstance(v, FrequencySet) else str(v))
     def test_tensor_table_matches_direct_evaluation(self, q, oversample):
+        # the basis at the nodes through the path of span_norm and ia: exponential coefficients, then one inverse FFT
         sys = real_trig_system(q, oversample=oversample)
-        assert np.abs(sys.quad_values - sys.basis.evaluate(sys.quadrature.nodes)).max() <= 1e-13
+        E = sys.basis.exp_coeffs(np.eye(sys.size))
+        fft_table = np.stack([TrigPolynomial(q, E[:, i]).values_on(sys.quadrature) for i in range(sys.size)], axis=1)
+        assert np.abs(fft_table - sys.basis.evaluate(sys.quadrature.nodes)).max() <= 1e-13
 
     @pytest.mark.parametrize("sizes", [[6, 7], [7, 6], [4, 4]])
     def test_tensor_rule_too_coarse_fails_the_gram_check(self, sizes, rng):
@@ -496,7 +498,6 @@ class TestOrthonormalSystems:
         quad = Quadrature(torus_grid(sizes), np.full(math.prod(sizes), 1.0 / math.prod(sizes)))
         entry_points = [
             lambda quad: OrthonormalSystem("coarse", TrigBasis(Q), quad),
-            TrigBasis(Q).values_on,
             random_trig_poly(Q, rng).values_on,
             Quadrature.axis_spacing,
         ]
@@ -513,13 +514,13 @@ class TestOrthonormalSystems:
     def test_trig_system_on_its_tensor_rule_skips_the_gram_product(self, monkeypatch):
         calls, tables = [], []
         monkeypatch.setattr(spaces, "weighted_gram", lambda *a: calls.append(a) or weighted_gram(*a))
-        values_on = TrigBasis.values_on
-        monkeypatch.setattr(TrigBasis, "values_on", lambda self, quad: tables.append(quad) or values_on(self, quad))
+        table = OrthonormalSystem.quad_values.func
+        monkeypatch.setattr(OrthonormalSystem, "quad_values", property(lambda self: tables.append(self) or table(self)))
         sys = real_trig_system(build_hyperbolic_cross(4, 2))
         assert calls == []
         assert tables == []  # w = N is an identity of the basis: no table is built
         sys.quad_values
-        assert tables == [sys.quadrature]
+        assert tables == [sys]
 
     def test_trig_system_builds_in_memory_of_its_nodes(self):
         # cross:6:2 has 258,064 nodes (6 MB of nodes and weights); its nodes x N table would take 1.6 GB
@@ -540,10 +541,6 @@ class TestOrthonormalSystems:
         OrthonormalSystem("sizes", trig7.basis, trig7.quadrature)  # the difference-set check
         assert calls == []
 
-    def test_tensor_rule_of_another_dimension_is_rejected(self, trig7):
-        with pytest.raises(ValueError):
-            trig7.basis.values_on(Quadrature.tensor_torus([2, 2]))
-
     def test_constants_declared(self, trig7):
         c = trig7.constants
         assert c.k2 == 2.0 and c.t == 1.0 and c.alpha == 1.0 and c.beta == 1.0
@@ -562,7 +559,7 @@ class TestTrigBasis:
     def test_constant_only_basis(self):
         basis = TrigBasis(build_box([0, 0]))
         assert basis.rep_array.shape == (0, 2)
-        assert np.array_equal(basis.values_on(Quadrature.tensor_torus([1, 2])), np.ones((12 * 20, 1)))
+        assert np.array_equal(basis.evaluate(Quadrature.tensor_torus([1, 2]).nodes), np.ones((12 * 20, 1)))
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
