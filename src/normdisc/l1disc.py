@@ -9,8 +9,10 @@ This module provides both directions:
 * :func:`chaining_budget` / :func:`min_m_chaining` turn an entropy curve
   into a failure-probability budget for m iid uniform points and invert it,
 * :func:`certify_l1` is the falsifier: deterministic adversarial candidates
-  plus batched random-restart coordinate descent on the empirical-to-true
-  ratio, reporting the worst ratios found as an :class:`L1Certificate`,
+  plus one batched projected gradient ascent per side of the
+  empirical-to-true ratio on the coefficient sphere, started from random
+  rows and from the best deterministic candidates, reporting the worst
+  ratios found as an :class:`L1Certificate`,
 * :func:`discrepancy` and :func:`nikolskii_check` are the small measurement
   tools shared by tests and scripts.
 
@@ -41,7 +43,11 @@ from .spaces import (
 LOG_HUGE = 700.0  # exp beyond this overflows a double
 BERNSTEIN_C = 8.0  # denominator constant of the chaining budget's Bernstein term
 PAIR_C = 16.0  # denominator constant of each chaining level's pair term
-STEP_INIT = 0.5  # first coordinate step of the falsifier's descent
+ASCENT_STEP = 0.5  # first step length of every row in the falsifier's gradient ascent
+ASCENT_GROW = 1.5  # step length factor after an accepted trial
+ASCENT_SHRINK = 0.5  # step length factor after a rejected trial
+ASCENT_TRIALS = 4  # trials per row and ascent iteration
+SCORE_BLOCK_ROWS = 64  # candidate rows valued at once when all candidates are scored
 DEEP_HOLE_MESH = 4096  # about this many mesh points are scored for deep holes
 NIKOLSKII_OVERSAMPLE = 8  # reference rule of nikolskii_check
 
@@ -209,16 +215,33 @@ def random_l1_pointset(dim: int, m: int, seed: int = 0) -> PointSet:
 
 @dataclass(frozen=True)
 class FalsifierEffort:
+    """How hard :func:`certify_l1` searches.
+
+    Each side's gradient ascent runs ``restarts // 2`` random rows plus as
+    many deterministic candidates for ``iters`` iterations, on at most
+    ``subsample_cap`` of the points.  ``translate_cap`` kernel translates at
+    sampling points and ``hole_count`` at deep holes join the deterministic
+    candidates, and ``oversample`` sets the reference rule of the true norm.
+    The CLI's ``effort=quick`` is :meth:`quick`, ``effort=full`` the defaults.
+    """
+
     restarts: int = 200
-    iters: int = 500
+    iters: int = 40
     subsample_cap: int = 512
     translate_cap: int = 128
     hole_count: int = 8
     oversample: int = 16
 
+    def __post_init__(self):
+        # a negative count would act as a negative slice bound on the candidate tables
+        if min(self.restarts, self.iters, self.translate_cap, self.hole_count) < 0:
+            raise ValueError("restarts, iters, translate_cap and hole_count must be nonnegative")
+        if self.subsample_cap < 1:
+            raise ValueError("subsample_cap must be positive")
+
     @classmethod
     def quick(cls) -> "FalsifierEffort":
-        return cls(restarts=40, iters=150, oversample=8)
+        return cls(restarts=40, iters=30, oversample=8)
 
 
 @dataclass
@@ -243,11 +266,41 @@ class L1Certificate:
     meta: dict = field(default_factory=dict)
 
 
-def _ratio_batch(C: np.ndarray, point_values: np.ndarray, quad_values: np.ndarray, quad_w: np.ndarray, point_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical/true L1 ratio for a batch of coefficient rows, and the true L1 norms."""
-    emp = np.abs(C @ point_values) @ point_w
-    tru = np.abs(C @ quad_values) @ quad_w
-    return emp / np.maximum(tru, 1e-300), tru
+def _ratio_values(C: np.ndarray, P: np.ndarray, w: np.ndarray, R: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical/true L1 ratio of every row of C, and its true L1 norm.
+
+    ``P`` and ``R`` are the character tables of the points and of the
+    reference rule (columns are nodes), ``w`` and ``omega`` their weights.
+    """
+    tru = np.abs(C @ R) @ omega
+    return (np.abs(C @ P) @ w) / np.maximum(tru, 1e-300), tru
+
+
+def _ratio_values_blocked(C: np.ndarray, P: np.ndarray, w: np.ndarray, R: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_ratio_values` over blocks of ``SCORE_BLOCK_ROWS`` rows, so no more rows than that are valued at once."""
+    blocks = [_ratio_values(C[s : s + SCORE_BLOCK_ROWS], P, w, R, omega) for s in range(0, len(C), SCORE_BLOCK_ROWS)]
+    return np.concatenate([r for r, _ in blocks]), np.concatenate([t for _, t in blocks])
+
+
+def _ratio_gradient(C: np.ndarray, P: np.ndarray, w: np.ndarray, R: np.ndarray, omega: np.ndarray, PH: np.ndarray, RH: np.ndarray) -> np.ndarray:
+    """Wirtinger gradient 2 d(ratio)/d(conj c) of every row of C; ``PH``, ``RH`` are the conjugate transposes of P, R.
+
+    With F = C P, G = C R, E = |F| w and T = |G| omega, grad E = (w F/|F|) P^H
+    and grad T = (omega G/|G|) R^H, so grad (E/T) = (grad E - (E/T) grad T) / T.
+    Its real and imaginary parts are the derivatives along the real and
+    imaginary parts of the coefficients.  A node where a value vanishes
+    contributes nothing (a subgradient of |.|).
+    """
+    F = C @ P
+    G = C @ R
+    aF = np.maximum(np.abs(F), 1e-300)
+    aG = np.maximum(np.abs(G), 1e-300)
+    tru = np.maximum(aG @ omega, 1e-300)
+    ratio = (aF @ w) / tru
+    # weighted phases in place: on a fine rule G is the largest array of the search
+    F *= np.divide(w, aF, out=aF)
+    G *= np.divide(omega, aG, out=aG)
+    return (F @ PH - ratio[:, None] * (G @ RH)) / tru[:, None]
 
 
 def _deep_holes(points: np.ndarray, dim: int, count: int) -> np.ndarray:
@@ -293,55 +346,63 @@ def _deterministic_candidates(Q: FrequencySet, pointset: PointSet, point_values:
     return np.concatenate(rows, axis=0)
 
 
-def _optimize_ratio(C0: np.ndarray, point_values: np.ndarray, quad_values: np.ndarray, quad_w: np.ndarray, point_w: np.ndarray, effort: FalsifierEffort, sign: float, rng: np.random.Generator, min_l1: float) -> np.ndarray:
-    """Batched coordinate descent on the ratio; sign=+1 minimizes, -1 maximizes.
+def _optimize_ratio(C0: np.ndarray, P: np.ndarray, w: np.ndarray, R: np.ndarray, omega: np.ndarray, iters: int, sign: float, min_l1: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Batched projected gradient ascent of the ratio on the coefficient sphere; sign=+1 minimizes, -1 maximizes.
 
-    Works on the real and imaginary parts of one coefficient at a time with
-    a shrinking step, renormalizing every trial's rows to the coefficient
-    sphere before they are scored (the objective is scale invariant).  Rows
-    whose true norm collapses below ``min_l1`` are re-randomized: the ratio
-    is undefined in the limit and its subgradients are useless there.
+    Each iteration steps every row along its normalized gradient direction
+    by its own length and renormalizes it (the ratio is scale invariant, so
+    its gradient is tangent to the sphere).  A trial is accepted only if it
+    improves that row's objective and keeps its true norm at or above
+    ``min_l1``; the length then grows by ``ASCENT_GROW``, and after a
+    rejection it shrinks by ``ASCENT_SHRINK`` and the row tries again, up to
+    ``ASCENT_TRIALS`` times per iteration.  So no row's objective ever
+    worsens.  Returns the rows, their objectives sign * ratio and the number
+    of accepted steps.
     """
-    C = C0.copy()
-    nq = C.shape[1]
-    step = STEP_INIT
-    obj = sign * _ratio_batch(C, point_values, quad_values, quad_w, point_w)[0]
-    for it in range(effort.iters):
-        coord = it % nq
-        delta = step if (it // nq) % 2 == 0 else step * 1j
-        for direction in (delta, -delta):
-            C_try = C.copy()
-            C_try[:, coord] += direction
-            C_try /= np.maximum(np.linalg.norm(C_try, axis=1)[:, None], 1e-300)
-            ratio, tru = _ratio_batch(C_try, point_values, quad_values, quad_w, point_w)
-            cand = sign * ratio
-            cand[tru < min_l1] = np.inf
-            better = cand < obj
-            C[better] = C_try[better]
-            obj[better] = cand[better]
-        if coord == nq - 1:
-            step *= 0.9
-            if step < 1e-4:
-                step = STEP_INIT * 0.1
-                fresh = rng.standard_normal(C.shape) + 1j * rng.standard_normal(C.shape)
-                worst = np.argsort(obj)[-max(1, len(obj) // 10) :]
-                C[worst] = fresh[worst] / np.linalg.norm(fresh[worst], axis=1)[:, None]
-                obj[worst] = sign * _ratio_batch(C[worst], point_values, quad_values, quad_w, point_w)[0]
-    return C
+    C = C0 / np.maximum(np.linalg.norm(C0, axis=1)[:, None], 1e-300)
+    obj = sign * _ratio_values(C, P, w, R, omega)[0]
+    step = np.full(len(C), ASCENT_STEP)
+    PH, RH = P.conj().T, R.conj().T
+    accepted = 0
+    for _ in range(iters):
+        d = -sign * _ratio_gradient(C, P, w, R, omega, PH, RH)
+        d /= np.maximum(np.linalg.norm(d, axis=1)[:, None], 1e-300)
+        todo = np.arange(len(C))
+        for _ in range(ASCENT_TRIALS):
+            trial = C[todo] + step[todo, None] * d[todo]
+            trial /= np.linalg.norm(trial, axis=1)[:, None]
+            ratio, tru = _ratio_values(trial, P, w, R, omega)
+            ok = (sign * ratio < obj[todo]) & (tru >= min_l1)
+            rows = todo[ok]
+            C[rows], obj[rows] = trial[ok], sign * ratio[ok]
+            step[rows] *= ASCENT_GROW
+            accepted += rows.size
+            todo = todo[~ok]
+            step[todo] *= ASCENT_SHRINK
+            if not todo.size:
+                break
+    return C, obj, accepted
 
 
 def certify_l1(pointset: PointSet, Q: FrequencySet, targets: tuple[float, float] = (0.5, 1.5), effort: FalsifierEffort | None = None, seed: int = 0) -> L1Certificate:
     """Attack the two-sided L1 discretization claim of a point set.
 
     Reports the smallest and largest ratio (weighted empirical L1 mean over
-    the points) / (true L1 norm) found over the space of polynomials on Q,
-    using structured candidates and batched random-restart descent.  Ratios
-    of all candidates are evaluated exactly (relative to the reference
-    quadrature) on the full point set; the optimizer itself may run on a
-    subsample for speed.
+    the points) / (true L1 norm) found over the space of polynomials on Q.
+    Each side runs one batched gradient ascent (:func:`_optimize_ratio`)
+    from ``effort.restarts // 2`` random rows plus as many deterministic
+    candidates, those with the best ratio for that side; ``effort.iters``
+    counts its iterations.  The ascent runs on a subsample of at most
+    ``effort.subsample_cap`` points; every candidate, deterministic or
+    ascended, is then scored exactly (relative to the reference quadrature)
+    on the full point set.  ``meta["search"]`` records each side's ascent.
     """
     if effort is None:
         effort = FalsifierEffort()
+    if pointset.m < 1:
+        raise ValueError("certify_l1 needs at least one point")
+    if pointset.dim != Q.dim:
+        raise ValueError(f"points of dimension {pointset.dim} do not match a space of dimension {Q.dim}")
     rng = np.random.default_rng(seed)
     quad = Quadrature.tensor_torus(Q.max_abs, oversample=effort.oversample)
     # value tables: columns are evaluation points, rows will be coefficients
@@ -360,16 +421,21 @@ def certify_l1(pointset: PointSet, Q: FrequencySet, targets: tuple[float, float]
     else:
         point_values = point_values_full
         w_sub = w_full
+    tables = (point_values, w_sub, quad_values, quad.weights)
 
     min_l1 = 1.0 / math.sqrt(len(Q))  # unit coefficient sphere keeps ||f||_1 above this
     half = max(1, effort.restarts // 2)
     C_rand = rng.standard_normal((2 * half, len(Q))) + 1j * rng.standard_normal((2 * half, len(Q)))
-    C_rand /= np.linalg.norm(C_rand, axis=1)[:, None]
-    C_min = _optimize_ratio(C_rand[:half], point_values, quad_values, quad.weights, w_sub, effort, +1.0, rng, min_l1)
-    C_max = _optimize_ratio(C_rand[half:], point_values, quad_values, quad.weights, w_sub, effort, -1.0, rng, min_l1)
+    det_order = np.argsort(_ratio_values_blocked(det, *tables)[0], kind="stable")
+    sides = (("min", +1.0, C_rand[:half], det_order[:half]), ("max", -1.0, C_rand[half:], det_order[::-1][:half]))
+    ascended, search = [], {}
+    for side, sign, rand, starts in sides:
+        C, _, accepted = _optimize_ratio(np.concatenate([rand, det[starts]]), *tables, effort.iters, sign, min_l1)
+        ascended.append(C)
+        search[side] = {"iterations": effort.iters, "accepted_steps": accepted, "rows": len(C), "deterministic_starts": len(starts), "subsample": point_values.shape[1]}
 
-    all_C = np.concatenate([det, C_min, C_max], axis=0)
-    ratios, tru = _ratio_batch(all_C, point_values_full, quad_values, quad.weights, w_full)
+    all_C = np.concatenate([det, *ascended], axis=0)
+    ratios, tru = _ratio_values_blocked(all_C, point_values_full, w_full, quad_values, quad.weights)
     # rows that collapsed to zero true norm are meaningless
     ratios[tru < 1e-12] = 1.0
     i_min = int(np.argmin(ratios))
@@ -385,7 +451,7 @@ def certify_l1(pointset: PointSet, Q: FrequencySet, targets: tuple[float, float]
         passed=(r_min >= targets[0]) and (r_max <= targets[1]),
         effort=effort,
         seed=seed,
-        meta={"m": pointset.m, "space": len(Q), "subsampled": pointset.m > effort.subsample_cap},
+        meta={"m": pointset.m, "space": len(Q), "subsampled": pointset.m > effort.subsample_cap, "search": search},
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from normdisc.l1disc import (
     FalsifierEffort,
     _deep_holes,
     _deterministic_candidates,
+    _optimize_ratio,
+    _ratio_gradient,
+    _ratio_values,
     certify_l1,
     chaining_budget,
     discrepancy,
@@ -16,6 +20,7 @@ from normdisc.l1disc import (
     random_l1_pointset,
 )
 from normdisc.spaces import (
+    FrequencySet,
     PointSet,
     Quadrature,
     TrigPolynomial,
@@ -184,6 +189,67 @@ class TestFalsifier:
         emp = float(ps.effective_weights() @ np.abs(f.evaluate(ps.points)))
         assert emp / poly_norm(f, 1, quad) == pytest.approx(cert.r_min, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "points, space, effort",
+        [
+            (np.zeros((0, 1)), (2, 1), None),  # no points
+            (np.zeros((5, 2)), (2, 1), None),  # points of another dimension
+            (np.zeros((5, 1)), (2, 2), None),
+            (np.zeros((5, 1)), (2, 1), {"subsample_cap": 0}),
+            (np.zeros((5, 1)), (2, 1), {"iters": -1}),
+            (np.zeros((5, 1)), (2, 1), {"restarts": -1}),
+            (np.zeros((5, 1)), (2, 1), {"translate_cap": -3}),
+            (np.zeros((5, 1)), (2, 1), {"hole_count": -2}),  # would score all but 2 of the deep-hole mesh
+        ],
+    )
+    def test_bad_input_is_refused_before_any_table(self, monkeypatch, points, space, effort):
+        Q = build_hyperbolic_cross(*space)
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a character table was built")
+
+        monkeypatch.setattr(FrequencySet, "characters", no_table)
+        with pytest.raises(ValueError):
+            certify_l1(PointSet(points), Q, effort=None if effort is None else FalsifierEffort(**effort))
+
+    def test_search_is_recorded(self, cross2):
+        eff = FalsifierEffort(restarts=10, iters=7, subsample_cap=32, oversample=8)
+        cert = certify_l1(random_l1_pointset(1, 500, seed=2), cross2, effort=eff, seed=0)
+        for side in ("min", "max"):
+            rec = cert.meta["search"][side]
+            assert rec["iterations"] == 7
+            assert rec["rows"] == 10 and rec["deterministic_starts"] == 5
+            assert rec["subsample"] == 32
+            assert 0 < rec["accepted_steps"] <= rec["iterations"] * rec["rows"]
+
+    @pytest.mark.parametrize(
+        "space, m, effort, bound",
+        [
+            # all candidates against all 5,400 points at once would take 51 MB
+            ((3, 1), 5400, None, 25e6),
+            # the deterministic candidates at once on a 21,952-node 3-d rule, to pick the starts, would take 115 MB
+            ((2, 3), 152, {"restarts": 2, "iters": 0, "oversample": 4}, 60e6),
+        ],
+    )
+    def test_scoring_memory_is_bounded(self, space, m, effort, bound):
+        import scipy.spatial  # noqa: F401  (loaded on first use by the deep-hole search; its import is not the certificate's memory)
+
+        Q = build_hyperbolic_cross(*space)
+        ps = random_l1_pointset(Q.dim, m, seed=0)
+        tracemalloc.start()
+        try:
+            certify_l1(ps, Q, effort=None if effort is None else FalsifierEffort(**effort), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, peak
+
+    def test_strength_on_a_2d_cross(self):
+        # cross:3:2, m = 98: a descent along one coordinate at a time found only [0.658, 1.452] here
+        Q = build_hyperbolic_cross(3, 2)
+        cert = certify_l1(random_l1_pointset(2, 98, seed=0), Q, effort=FalsifierEffort.quick(), seed=0)
+        assert cert.r_min < 0.5 and cert.r_max > 1.5, (cert.r_min, cert.r_max)
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_deterministic_rows_are_kernel_translates(self, dim):
         # rows after the single exponentials: exp(-i<k, y>) for sampling points, then deep holes
@@ -220,6 +286,47 @@ class TestFalsifier:
         assert all(np.isin(holes[:, j], axis).all() for j in range(2))
         top = np.sort(score(mesh))[::-1][:count]
         assert np.array_equal(np.sort(score(holes))[::-1], top)
+
+
+def _ascent_tables(Q, m, seed):
+    rng = np.random.default_rng(seed)
+    ps = random_l1_pointset(Q.dim, m, seed=seed)
+    quad = Quadrature.tensor_torus(Q.max_abs, oversample=8)
+    C = rng.standard_normal((6, len(Q))) + 1j * rng.standard_normal((6, len(Q)))
+    return C, (Q.characters(ps.points), ps.effective_weights(), Q.characters(quad.nodes), quad.weights)
+
+
+class TestGradientAscent:
+    @pytest.mark.parametrize("space", [(2, 1), (2, 2)])
+    def test_gradient_matches_central_differences(self, space):
+        Q = build_hyperbolic_cross(*space)
+        C, (P, w, R, omega) = _ascent_tables(Q, 40, seed=3)
+        c = C[:1]
+        grad = _ratio_gradient(c, P, w, R, omega, P.conj().T, R.conj().T)[0]
+        h = 1e-6
+        fd = np.zeros(len(Q), dtype=complex)
+        for k in range(len(Q)):
+            for unit in (1.0, 1j):
+                e = np.zeros_like(c)
+                e[0, k] = unit * h
+                diff = (_ratio_values(c + e, P, w, R, omega)[0] - _ratio_values(c - e, P, w, R, omega)[0])[0] / (2 * h)
+                fd[k] += unit * diff
+        assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_no_objective_ever_worsens(self, sign):
+        Q = build_hyperbolic_cross(3, 2)
+        C, tables = _ascent_tables(Q, 60, seed=4)
+        min_l1 = 1.0 / math.sqrt(len(Q))
+        # the ascent draws no random numbers, so iters=k is a prefix of iters=k+1
+        objs = [_optimize_ratio(C, *tables, k, sign, min_l1)[1] for k in range(12)]
+        for before, after in zip(objs, objs[1:]):
+            assert (after <= before).all()
+        rows, obj, accepted = _optimize_ratio(C, *tables, 11, sign, min_l1)
+        assert np.allclose(sign * _ratio_values(rows, *tables)[0], obj, rtol=0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(rows, axis=1), 1.0)
+        assert 0 < accepted <= 11 * len(C)
+        assert (objs[-1] < objs[0]).all()
 
 
 class TestNikolskii:
