@@ -23,6 +23,7 @@ METHODS = ("random", "greedy", "bss", "grid")
 
 CSV_COLUMNS = ("space", "N", "m", "method", "seed", "eps", "r_min", "r_max", "runtime_ms")
 MAX_SPACE_ENTRIES = 2**18  # cap on |Q| * d of a parsed space, whose frequency set holds |Q| tuples of d ints
+MAX_SEEDS = 2**16  # cap on the seeds of one experiment, each one job per method
 
 
 def check_exact_grid(axis_sizes) -> None:
@@ -67,13 +68,15 @@ def parse_space(spec: str) -> FrequencySet:
 
 
 def parse_seeds(spec: str) -> list[int]:
-    """'0..9' (inclusive) or '1,4,7'."""
+    """'0..9' (inclusive) or '1,4,7'; a range is counted before its list is built."""
     if ".." in spec:
         lo, _, hi = spec.partition("..")
-        seeds = list(range(int(lo), int(hi) + 1))
+        seeds = range(int(lo), int(hi) + 1)
         if not seeds:
             raise ConfigError(f"empty seed range {spec!r}")
-        return seeds
+        if seeds.stop - seeds.start > MAX_SEEDS:
+            raise ConfigError(f"seed range {spec!r} holds more than MAX_SEEDS = {MAX_SEEDS:,} seeds")
+        return list(seeds)
     return [int(v) for v in spec.split(",")]
 
 

@@ -35,7 +35,6 @@ import numpy as np
 from .spaces import (
     TWO_PI,
     FrequencySet,
-    MissingConstant,
     OrthonormalSystem,
     as_points,
     grid_P,
@@ -125,16 +124,14 @@ def choose_delta0(system: OrthonormalSystem) -> float:
 
     From |u_i(x) - u_i(y)| <= k1 N^beta ||x-y||^alpha, spacing
     delta0 = (k1^(-1) N^(-1/2-beta))^(1/alpha) gives per-function variation
-    N^(-1/2), hence kernel-atom variation O(1) across a net cell.  Systems
-    with k1 = 0 (constants only) need a single point: returns 2*pi.
+    N^(-1/2), hence kernel-atom variation O(1) across a net cell.  The
+    trigonometric system has alpha = beta = 1, so delta0 = k1^(-1) N^(-3/2).
+    Systems with k1 = 0 (constants only) need a single point: returns 2*pi.
     """
     c = system.constants
-    if c.k1 is None or c.alpha is None or c.beta is None:
-        raise MissingConstant("net resolution needs k1, alpha, beta")
     if c.k1 == 0.0:
         return TWO_PI
-    d0 = (1.0 / c.k1 * system.size ** (-0.5 - c.beta)) ** (1.0 / c.alpha)
-    return min(d0, TWO_PI)
+    return min(1.0 / c.k1 * system.size**-1.5, TWO_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +187,6 @@ def scaled_kernel_dict(system: OrthonormalSystem, points: np.ndarray | None = No
     is at most one whenever t^2 <= K2.  Default shifts come from the
     system's delta0 net.
     """
-    if system.constants.k2 is None:
-        raise MissingConstant("scaled kernel atoms need k2")
     if points is None:
         points = DeltaNet.build(system.dim, choose_delta0(system)).points
     scale = 1.0 / math.sqrt(system.constants.k2 * system.size)
@@ -209,8 +204,6 @@ def scaled_basis_dict(system: OrthonormalSystem) -> Dictionary:
 
     The scaling keeps sup-norms at most one: ||u_i/sqrt(K2)||_inf <= 1.
     """
-    if system.constants.k2 is None:
-        raise MissingConstant("scaled basis atoms need k2")
     n = system.size
     scale = 1.0 / math.sqrt(system.constants.k2)
     eye = np.eye(n) * scale

@@ -36,7 +36,7 @@ from .dictionaries import (
     scaled_kernel_dict,
     symmetrize,
 )
-from .spaces import MissingConstant, OrthonormalSystem, TrigPolynomial, norm_values_lp
+from .spaces import OrthonormalSystem, TrigPolynomial, norm_values_lp
 
 STOP_TOL = 1e-14
 BOUND_SLACK = 1e-10  # rounding allowance of GreedyRun.bound_violations
@@ -194,8 +194,6 @@ def ia(system: OrthonormalSystem, target: np.ndarray, p: float, steps: int, sche
     """
     if p < 2:
         raise ValueError("incremental greedy implemented for p >= 2")
-    if system.constants.k2 is None:
-        raise MissingConstant("incremental greedy over the scaled basis needs k2")
     if schedule is None:
         schedule = Schedule.for_lp(p)
     target = np.asarray(target, dtype=float)
@@ -266,7 +264,7 @@ class SupSparsifyResult:
 
 
 def default_sup_p(system: OrthonormalSystem) -> float:
-    # p of order log N keeps the infinity/p norm gap N^(k4/p) bounded
+    # p of order log N keeps the infinity/p norm gap N^(1/p) bounded
     return float(max(2, round(math.log(max(system.size, 3)))))
 
 
@@ -280,8 +278,6 @@ def sup_norm_sparsify(system: OrthonormalSystem, target: np.ndarray, steps: int)
     combined coefficients can only lose mass to cancellation.
     """
     c = system.constants
-    if c.k2 is None or c.k3 is None or c.k4 is None:
-        raise MissingConstant("uniform-norm sparsification needs k2, k3, k4")
     p = default_sup_p(system)
     target = np.asarray(target, dtype=float)
     mass_in = math.sqrt(c.k2) * float(np.abs(target).sum())
@@ -325,8 +321,6 @@ def two_stage_sup_approx(system: OrthonormalSystem, target: np.ndarray, steps: i
     A zero target gives the zero approximant with no terms.
     """
     c = system.constants
-    if c.k2 is None:
-        raise MissingConstant("two-stage approximation needs k2")
     target = np.asarray(target, dtype=float)
     m1 = max(1, steps // 2)
     m2 = max(1, steps - m1)

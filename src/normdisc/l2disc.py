@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import MissingConstant, OrthonormalSystem, PointSet, TrigPolynomial, dirichlet_poly, weighted_gram
+from .spaces import MAX_RULE_NODES, OrthonormalSystem, PointSet, TrigPolynomial, dirichlet_poly, weighted_gram
 
 LOG2 = math.log(2.0)
 SUBGAUSS_C = 2.0 / LOG2  # constant in the exponent of the deviation bound
@@ -107,9 +107,11 @@ def min_m_concentration(N: int, t: float, eta: float, target: float = 1.0) -> in
 
 
 def check_m(m: int) -> None:
-    """Reject a point count below one."""
+    """Reject a point count below one, or above ``MAX_RULE_NODES``: no point set outgrows the largest rule."""
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
+    if m > MAX_RULE_NODES:
+        raise ValueError(f"m = {m:,} exceeds MAX_RULE_NODES = {MAX_RULE_NODES:,}")
 
 
 def random_l2_pointset(system: OrthonormalSystem, m: int, seed: int = 0) -> tuple[PointSet, SpectralCertificate]:
@@ -179,8 +181,6 @@ def frobenius_rga_pointset(system: OrthonormalSystem, m: int, candidates: np.nda
     value table on them (``meta["kernel"] == "table"``).
     """
     check_m(m)
-    if system.constants.t is None:
-        raise MissingConstant("greedy point selection needs the christoffel cap t")
     candidates, w, column, kernel = _kernel_columns(system, candidates)
     n = system.size
     t = system.constants.t

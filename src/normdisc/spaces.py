@@ -37,10 +37,6 @@ MAX_RULE_NODES = 2**24  # node cap of tensor_torus: 134 MB of weights and 134 MB
 Vec = tuple[int, ...]
 
 
-class MissingConstant(ValueError):
-    """A system constant required by the requested operation is undeclared."""
-
-
 def as_points(x, dim: int) -> np.ndarray:
     """Coerce ``x`` to an (m, dim) float array of torus points."""
     a = np.asarray(x, dtype=float)
@@ -395,27 +391,6 @@ class TrigPolynomial:
         # C order of the flattened grid is the node order of torus_grid
         return np.fft.ifftn(grid).reshape(-1) * grid.size
 
-    def coeff(self, k) -> complex:
-        i = self.support.index.get(tuple(int(v) for v in k))
-        return complex(self.coeffs[i]) if i is not None else 0.0j
-
-    def _check_same_support(self, other: "TrigPolynomial"):
-        if self.support.freqs != other.support.freqs:
-            raise ValueError("supports differ")
-
-    def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        self._check_same_support(other)
-        return TrigPolynomial(self.support, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        self._check_same_support(other)
-        return TrigPolynomial(self.support, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar) -> "TrigPolynomial":
-        return TrigPolynomial(self.support, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
 
 def dirichlet_poly(Q: FrequencySet) -> TrigPolynomial:
     """D_Q = sum_{k in Q} exp(i <k, .>); D_Q(0) = |Q|."""
@@ -507,21 +482,17 @@ def poly_norm(f: TrigPolynomial, p: float, quad: Quadrature | None = None) -> fl
 
 @dataclass(frozen=True)
 class SystemConstants:
-    """Declared analytic constants of a system (None when unknown).
+    """The analytic constants of the real trigonometric system of T(Q).
 
-    k1, alpha, beta: modulus bound |u_i(x) - u_i(y)| <= k1 N^beta ||x-y||^alpha.
+    k1: modulus bound |u_i(x) - u_i(y)| <= k1 N ||x-y||, that is
+    k1 N^beta ||x-y||^alpha with alpha = beta = 1.
     k2: uniform bound ||u_i||_inf^2 <= k2.
-    k3, k4: Nikolskii-type bound ||f||_inf <= k3 N^(k4/p) ||f||_p for p >= 2.
     t: christoffel cap w(x) <= N t^2.
     """
 
-    k1: float | None = None
-    k2: float | None = None
-    k3: float | None = None
-    k4: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    t: float | None = None
+    k1: float
+    k2: float
+    t: float
 
 
 @dataclass(frozen=True)
@@ -612,22 +583,27 @@ class OrthonormalSystem:
     The quadrature must be an equal-weight tensor rule, and orthonormality
     is checked exactly on the difference set, by :func:`resolves_products`,
     so construction builds no value table, and neither does ``span_norm``.
-    When the constant t is declared, the christoffel function
-    w(x) = sum_i u_i(x)^2 must satisfy w <= N t^2; w = N is an identity of
-    the trigonometric basis (condition D), so that is N <= N t^2.
+    Its name and constants are functions of Q.
     """
 
-    name: str
     basis: TrigBasis
     quadrature: Quadrature
-    constants: SystemConstants = field(default_factory=SystemConstants)
 
     def __post_init__(self):
         if not resolves_products(self.freqs, self.quadrature):
             raise ValueError(f"{self.name}: quadrature Gram is not the identity")
-        t = self.constants.t
-        if t is not None and self.size > self.size * t**2 + 1e-8:
-            raise ValueError(f"{self.name}: christoffel function exceeds N t^2")
+
+    @cached_property
+    def name(self) -> str:
+        return f"trig[{self.freqs.dim}d,N={self.size}]"
+
+    @cached_property
+    def constants(self) -> SystemConstants:
+        """k1 = sqrt2 d max||k||_1 / N and k2 = 2, or k1 = 0 and k2 = 1 for Q = {0}; t = 1, as w = N (condition D)."""
+        Q = self.freqs
+        if Q.max_l1 == 0:
+            return SystemConstants(k1=0.0, k2=1.0, t=1.0)
+        return SystemConstants(k1=math.sqrt(2.0) * Q.dim * Q.max_l1 / len(Q), k2=2.0, t=1.0)
 
     @property
     def freqs(self) -> FrequencySet:
@@ -662,26 +638,10 @@ class OrthonormalSystem:
         return norm_values_lp(values, self.quadrature.weights, p)
 
 
-def _trig_constants(Q: FrequencySet) -> SystemConstants:
-    has_osc = Q.max_l1 > 0
-    k1 = math.sqrt(2.0) * Q.dim * Q.max_l1 / len(Q) if has_osc else 0.0
-    return SystemConstants(
-        k1=k1,
-        k2=2.0 if has_osc else 1.0,
-        k3=2.0,
-        k4=1.0,
-        alpha=1.0,
-        beta=1.0,
-        t=1.0,
-    )
-
-
 def real_trig_system(Q: FrequencySet, oversample: int = 4) -> OrthonormalSystem:
     """The real orthonormal trigonometric system spanning T(Q) on the torus.
 
     Requires a nonempty symmetric Q.  The system satisfies condition D
     exactly: w(x) = |Q| for all x.
     """
-    basis = TrigBasis(Q)
-    quad = Quadrature.tensor_torus(Q.max_abs, oversample=oversample)
-    return OrthonormalSystem(f"trig[{Q.dim}d,N={len(Q)}]", basis, quad, _trig_constants(Q))
+    return OrthonormalSystem(TrigBasis(Q), Quadrature.tensor_torus(Q.max_abs, oversample=oversample))

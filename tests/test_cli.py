@@ -234,6 +234,35 @@ def test_oversized_input_fails_before_allocating(argv, capsys):
     assert cap in captured.err
 
 
+@pytest.mark.parametrize("argv,cap", [
+    (["discretize", "--space", "cross:2:1", "--m", "1000000000000"], "MAX_RULE_NODES = 16,777,216"),
+    (["discretize", "--space", "cross:2:1", "--method", "greedy", "--m", "100000000000"], "MAX_RULE_NODES = 16,777,216"),
+    (["experiment", "--config", "m=16777217"], "MAX_RULE_NODES = 16,777,216"),
+    (["experiment", "--config", "seeds=0..1000000000000"], "MAX_SEEDS = 65,536"),
+    (["experiment", "--config", "seeds=0..65536"], "MAX_SEEDS = 65,536"),  # one seed past the cap
+    (["experiment", "--config", f"seeds=0..{10**30}"], "MAX_SEEDS = 65,536"),  # beyond a C ssize_t
+])
+def test_oversized_count_fails_before_allocating(argv, cap, capsys, no_system):
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 20e6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert cap in captured.err
+
+
+def test_seed_range_at_the_cap_is_accepted():
+    assert parse_seeds(f"0..{cli.MAX_SEEDS - 1}") == list(range(cli.MAX_SEEDS))
+
+
 @pytest.mark.parametrize("spec", ["cross:0:1", "cross:3:1", "cross:4:2", "cross:3:3", "cross:1:5", "box:4", "box:3x0x2"])
 def test_space_entries_count_the_built_set(spec, monkeypatch):
     Q = cli.parse_space(spec)

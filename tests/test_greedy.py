@@ -176,13 +176,6 @@ class TestSupSparsify:
         assert default_sup_p(small) == 2.0
         assert default_sup_p(big) == 4.0
 
-    def test_missing_constants_rejected(self, trig7):
-        import dataclasses
-
-        bad = dataclasses.replace(trig7, constants=dataclasses.replace(trig7.constants, k3=None))
-        with pytest.raises(Exception):
-            sup_norm_sparsify(bad, np.ones(7), steps=4)
-
     def test_zero_target(self, trig7):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no 0/0 on the way

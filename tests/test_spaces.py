@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import subprocess
@@ -10,6 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from normdisc import spaces
+from normdisc.cli import parse_space
+from normdisc.dictionaries import scaled_basis_dict
+from normdisc.greedy import sup_norm_sparsify
+from normdisc.l2disc import frobenius_rga_pointset
 from normdisc.spaces import (
     GRAM_BLOCK_ROWS,
     FrequencySet,
@@ -132,14 +137,6 @@ class TestTrigPolynomials:
         q = build_box([5])
         assert dirichlet_poly(q).evaluate(0.0) == pytest.approx(len(q))
 
-    def test_arithmetic(self, rng):
-        q = build_box([2])
-        f = random_trig_poly(q, rng)
-        g = random_trig_poly(q, rng)
-        x = 0.9
-        assert (f + g).evaluate(x) == pytest.approx(f.evaluate(x) + g.evaluate(x))
-        assert (2.0 * f - g).evaluate(x) == pytest.approx(2 * f.evaluate(x) - g.evaluate(x))
-
 
 class TestGridIdentities:
     @pytest.mark.parametrize("n_vec", [[2], [1, 1]])
@@ -239,7 +236,7 @@ class TestNorms:
     def test_scaling(self, scale):
         f = TrigPolynomial(freqset([(0,), (1,), (-1,)]), np.array([1, 0.5, 0.5], dtype=complex))
         base = poly_norm(f, 2)
-        assert poly_norm(scale * f, 2) == pytest.approx(scale * base, rel=1e-9)
+        assert poly_norm(TrigPolynomial(f.support, scale * f.coeffs), 2) == pytest.approx(scale * base, rel=1e-9)
 
 
 class TestValuesOnQuadrature:
@@ -333,7 +330,7 @@ def numeric_verdict(Q: FrequencySet, quad: Quadrature) -> bool:
 def construction_verdict(Q: FrequencySet, quad: Quadrature) -> bool:
     """Whether the trig system of Q builds on ``quad`` (on a tensor rule: the difference-set check)."""
     try:
-        OrthonormalSystem("trig", TrigBasis(Q), quad)
+        OrthonormalSystem(TrigBasis(Q), quad)
     except ValueError as exc:
         assert "Gram" in str(exc)
         return False
@@ -381,7 +378,7 @@ class TestDifferenceSetExactness:
         miscounted = tensor_rule([7, 7])
         miscounted.meta["sizes"] = [7, 8]
         entry_points = [
-            lambda quad: OrthonormalSystem("trig", TrigBasis(Q), quad),  # resolves_products
+            lambda quad: OrthonormalSystem(TrigBasis(Q), quad),  # resolves_products
             random_trig_poly(Q, rng).values_on,
         ]
         for entry in entry_points:
@@ -394,7 +391,7 @@ class TestDifferenceSetExactness:
         quad = tensor_rule([7, 7])
         quad.weights = quad.weights * np.linspace(0.5, 1.5, quad.size)
         with pytest.raises(ValueError):
-            OrthonormalSystem("trig", TrigBasis(Q), quad)
+            OrthonormalSystem(TrigBasis(Q), quad)
 
 
 class TestPointSet:
@@ -447,17 +444,17 @@ class TestOrthonormalSystems:
 
     def test_grid_system(self, cross2):
         # the trig system on a uniform grid of a chosen size, not the one tensor_torus picks
-        sys = OrthonormalSystem("grid", TrigBasis(cross2), tensor_rule([16]))
+        sys = OrthonormalSystem(TrigBasis(cross2), tensor_rule([16]))
         assert sys.size == 7
         assert np.abs(sys.christoffel(sys.quadrature.nodes) - 7).max() < 1e-12
 
     def test_grid_system_too_coarse_rejected(self, cross2):
         with pytest.raises(ValueError, match="Gram"):
-            OrthonormalSystem("grid", TrigBasis(cross2), tensor_rule([6]))  # 3 = -3 mod 6
+            OrthonormalSystem(TrigBasis(cross2), tensor_rule([6]))  # 3 = -3 mod 6
 
     def test_grid_system_needs_only_distinct_residues(self):
         # 5 <= 2 * max|k| = 6, yet 0, 1, 4, 3, 2 = k mod 5 are distinct
-        sys = OrthonormalSystem("grid", TrigBasis(freqset([(0,), (1,), (-1,), (3,), (-3,)])), tensor_rule([5]))
+        sys = OrthonormalSystem(TrigBasis(freqset([(0,), (1,), (-1,), (3,), (-3,)])), tensor_rule([5]))
         assert np.abs(weighted_gram(sys.quad_values, sys.quadrature.weights) - np.eye(5)).max() <= 1e-12
 
     def test_asymmetric_rejected(self):
@@ -467,10 +464,12 @@ class TestOrthonormalSystems:
     def test_construction_checks_gram_and_christoffel_cap(self, trig7, rng):
         quad = Quadrature(rng.uniform(0, 2 * math.pi, size=(50, 1)), np.full(50, 1 / 50))
         with pytest.raises(ValueError, match=NO_SIZES):
-            OrthonormalSystem("off-grid", trig7.basis, quad)
-        with pytest.raises(ValueError, match="N t\\^2"):
-            OrthonormalSystem("capped", trig7.basis, trig7.quadrature, constants=SystemConstants(t=0.5))
-        assert OrthonormalSystem("plain", trig7.basis, trig7.quadrature).dim == 1
+            OrthonormalSystem(trig7.basis, quad)
+        plain = OrthonormalSystem(trig7.basis, trig7.quadrature)
+        assert plain.dim == 1
+        # the cap t is derived, and w(x) = N t^2 holds at every point (condition D)
+        w = plain.christoffel(rng.uniform(0, 2 * math.pi, size=(20, 1)))
+        assert np.abs(w - plain.size * plain.constants.t**2).max() < 1e-12
 
     TABLE_SUPPORTS = [
         (build_hyperbolic_cross(3, 1), 4),
@@ -497,7 +496,7 @@ class TestOrthonormalSystems:
         Q = build_hyperbolic_cross(2, 2)
         quad = Quadrature(torus_grid(sizes), np.full(math.prod(sizes), 1.0 / math.prod(sizes)))
         entry_points = [
-            lambda quad: OrthonormalSystem("coarse", TrigBasis(Q), quad),
+            lambda quad: OrthonormalSystem(TrigBasis(Q), quad),
             random_trig_poly(Q, rng).values_on,
             Quadrature.axis_spacing,
         ]
@@ -509,7 +508,7 @@ class TestOrthonormalSystems:
     def test_tensor_rule_too_coarse_fails_the_difference_set_check(self, sizes):
         # the same rules with "sizes": max |k_j| = 3 on both axes, and each rule aliases two frequencies
         with pytest.raises(ValueError, match="Gram"):
-            OrthonormalSystem("coarse", TrigBasis(build_hyperbolic_cross(2, 2)), tensor_rule(sizes))
+            OrthonormalSystem(TrigBasis(build_hyperbolic_cross(2, 2)), tensor_rule(sizes))
 
     def test_trig_system_on_its_tensor_rule_skips_the_gram_product(self, monkeypatch):
         calls, tables = [], []
@@ -537,14 +536,25 @@ class TestOrthonormalSystems:
         calls = []
         monkeypatch.setattr(spaces, "weighted_gram", lambda *a: calls.append(a) or weighted_gram(*a))
         with pytest.raises(ValueError, match=NO_SIZES):
-            OrthonormalSystem("no sizes", trig7.basis, Quadrature(trig7.quadrature.nodes, trig7.quadrature.weights))
-        OrthonormalSystem("sizes", trig7.basis, trig7.quadrature)  # the difference-set check
+            OrthonormalSystem(trig7.basis, Quadrature(trig7.quadrature.nodes, trig7.quadrature.weights))
+        OrthonormalSystem(trig7.basis, trig7.quadrature)  # the difference-set check
         assert calls == []
 
     def test_constants_declared(self, trig7):
+        # a system is its basis and its rule: built directly, it derives the constants and gives the results of real_trig_system
+        assert [f.name for f in dataclasses.fields(OrthonormalSystem)] == ["basis", "quadrature"]
         c = trig7.constants
-        assert c.k2 == 2.0 and c.t == 1.0 and c.alpha == 1.0 and c.beta == 1.0
-        assert c.k1 == pytest.approx(math.sqrt(2) * 1 * 3 / 7)
+        assert dataclasses.astuple(c) == (pytest.approx(math.sqrt(2) * 1 * 3 / 7), 2.0, 1.0)
+        assert real_trig_system(build_box([0])).constants == SystemConstants(k1=0.0, k2=1.0, t=1.0)
+        for spec in ("cross:2:1", "cross:3:2", "box:2x3x1"):
+            Q = parse_space(spec)
+            direct = OrthonormalSystem(TrigBasis(Q), Quadrature.tensor_torus(Q.max_abs, oversample=4))
+            ref = real_trig_system(Q)
+            assert direct.constants == ref.constants and direct.name == ref.name
+            assert frobenius_rga_pointset(direct, 4 * ref.size).selected == frobenius_rga_pointset(ref, 4 * ref.size).selected
+            assert np.array_equal(scaled_basis_dict(direct).atoms, scaled_basis_dict(ref).atoms)
+            target = np.random.default_rng(7).standard_normal(ref.size)
+            assert sup_norm_sparsify(direct, target, steps=8).sup_residual == sup_norm_sparsify(ref, target, steps=8).sup_residual
 
 
 class TestTrigBasis:
