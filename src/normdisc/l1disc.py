@@ -49,6 +49,7 @@ ASCENT_SHRINK = 0.5  # step length factor after a rejected trial
 ASCENT_TRIALS = 4  # trials per row and ascent iteration
 SCORE_BLOCK_ROWS = 64  # candidate rows valued at once when all candidates are scored
 DEEP_HOLE_MESH = 4096  # about this many mesh points are scored for deep holes
+HOLE_GAP_SLACK = 1e-12  # margin of the deep-hole search's stopping rule, see _nearest_distances
 NIKOLSKII_OVERSAMPLE = 8  # reference rule of nikolskii_check
 
 
@@ -303,21 +304,85 @@ def _ratio_gradient(C: np.ndarray, P: np.ndarray, w: np.ndarray, R: np.ndarray, 
     return (F @ PH - ratio[:, None] * (G @ RH)) / tru[:, None]
 
 
-def _deep_holes(points: np.ndarray, dim: int, count: int) -> np.ndarray:
-    """Mesh points of the torus farthest (in periodic l-infinity) from every input point."""
-    from scipy.spatial import cKDTree  # imported here: only the falsifier needs scipy.spatial
+def _periodic_linf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Periodic l-infinity distance of the rows of a and b, both in [0, 2*pi).
 
+    Each coordinate difference is wrapped by the branches of a periodic
+    ``cKDTree`` with ``boxsize=2*pi`` (add 2*pi below -pi, subtract it
+    above pi), so the distances are the same doubles as that tree's.
+    """
+    diff = a - b
+    diff = np.where(diff < -math.pi, TWO_PI + diff, np.where(diff > math.pi, diff - TWO_PI, diff))
+    return np.abs(diff).max(axis=1)
+
+
+def _nearest_distances(points: np.ndarray, mesh: np.ndarray) -> tuple[np.ndarray, int]:
+    """Periodic l-infinity distance from every mesh node to its nearest point, and the number of point distances valued.
+
+    Points and nodes lie in [0, 2*pi).  The points are sorted on axis 0 and
+    each node is placed among them by ``searchsorted``.  Then every node
+    walks outward cyclically, one point to each side per round, and the
+    rounds are vectorised over the nodes still walking.  A node stops when
+    the axis-0 gap to the next point on both sides is at least its best
+    distance so far.  That is exact: every point not yet valued lies on the
+    arc between those two next points, so its axis-0 distance is at least
+    the smaller gap, and an l-infinity distance is never below its axis-0
+    part.  The gaps are compared with a slack of ``HOLE_GAP_SLACK``, far
+    above the few ulps of 2*pi by which a rounded gap can exceed a rounded
+    distance it bounds; stopping later never changes a minimum.  Each
+    distance is valued by :func:`_periodic_linf`, so the result is
+    bit-identical to ``cKDTree(points, boxsize=2*pi).query(mesh, p=inf)[0]``.
+
+    Cost: a sort of the points, then at most ceil(m/2) rounds, each
+    O(walking nodes * d) in time and memory; no nodes x points array is
+    formed.  In 1-d every node stops after its two axis neighbours; m
+    uniform points in d dimensions cost about m^(1-1/d) distances a node.
+    """
+    m = len(points)
+    pts = points[np.argsort(points[:, 0])]
+    x0 = pts[:, 0]
+    start = np.searchsorted(x0, mesh[:, 0])  # first point at or right of each node on axis 0
+    best = np.full(len(mesh), np.inf)
+    node = np.arange(len(mesh))
+    evaluated = 0
+    for k in range((m + 1) // 2):
+        # indices unwrapped: past m - 1 (below 0) they continue at 0 (m - 1) one turn further on
+        right = start[node] + k
+        left = start[node] - 1 - k
+        y = mesh[node]
+        best[node] = np.minimum(best[node], np.minimum(_periodic_linf(y, pts[right % m]), _periodic_linf(y, pts[left % m])))
+        evaluated += 2 * node.size
+        ahead = x0[(right + 1) % m] + TWO_PI * ((right + 1) // m) - y[:, 0]
+        behind = y[:, 0] - x0[(left - 1) % m] - TWO_PI * ((left - 1) // m)
+        node = node[np.minimum(ahead, behind) < best[node] + HOLE_GAP_SLACK]
+        if not node.size:
+            break
+    return best, evaluated
+
+
+def _deep_holes(points: np.ndarray, dim: int, count: int, record: dict | None = None) -> np.ndarray:
+    """Mesh points of the torus farthest (in periodic l-infinity) from every input point.
+
+    The mesh has about ``DEEP_HOLE_MESH`` nodes, at least 8 per axis.  Each
+    node's score is its distance to the nearest point, found exactly by
+    :func:`_nearest_distances`; the ``count`` best-scored nodes are returned,
+    in decreasing score.  ``record``, if given, receives the mesh size and
+    the number of point distances the search valued.
+    """
     per_axis = max(8, int(round(DEEP_HOLE_MESH ** (1.0 / dim))))
     mesh = torus_grid([per_axis] * dim)
-    score, _ = cKDTree(points, boxsize=TWO_PI).query(mesh, p=np.inf)
+    score, evaluated = _nearest_distances(points, mesh)
+    if record is not None:
+        record.update(mesh=len(mesh), distances=evaluated)
     order = np.argsort(score)[::-1][:count]
     return mesh[order]
 
 
-def _deterministic_candidates(Q: FrequencySet, pointset: PointSet, point_values: np.ndarray, effort: FalsifierEffort) -> np.ndarray:
+def _deterministic_candidates(Q: FrequencySet, pointset: PointSet, point_values: np.ndarray, effort: FalsifierEffort, record: dict | None = None) -> np.ndarray:
     """Coefficient rows of structured attack polynomials.
 
-    ``point_values`` is the character table ``Q.characters(pointset.points)``.
+    ``point_values`` is the character table ``Q.characters(pointset.points)``;
+    ``record`` is passed to :func:`_deep_holes`.
     """
     rows = []
     nq = len(Q)
@@ -327,7 +392,7 @@ def _deterministic_candidates(Q: FrequencySet, pointset: PointSet, point_values:
     # kernel translates centered at sampling points, coefficients exp(-i<k, x>): mass concentrates there
     rows.append(point_values[:, : effort.translate_cap].T.conj())
     # kernel translates centered at deep holes: mass hides from the points
-    holes = _deep_holes(pointset.points, Q.dim, effort.hole_count)
+    holes = _deep_holes(pointset.points, Q.dim, effort.hole_count, record)
     rows.append(Q.characters(holes).T.conj())
     # vanishing pairs: e_{k_a} - phase * e_{k_b} is zero at the first point
     if pointset.m >= 1 and nq >= 2:
@@ -395,7 +460,8 @@ def certify_l1(pointset: PointSet, Q: FrequencySet, targets: tuple[float, float]
     counts its iterations.  The ascent runs on a subsample of at most
     ``effort.subsample_cap`` points; every candidate, deterministic or
     ascended, is then scored exactly (relative to the reference quadrature)
-    on the full point set.  ``meta["search"]`` records each side's ascent.
+    on the full point set.  ``meta["search"]`` records each side's ascent,
+    ``meta["holes"]`` the deep-hole search's mesh size and point distances.
     """
     if effort is None:
         effort = FalsifierEffort()
@@ -410,7 +476,8 @@ def certify_l1(pointset: PointSet, Q: FrequencySet, targets: tuple[float, float]
     point_values_full = Q.characters(pointset.points)
     w_full = pointset.effective_weights()
 
-    det = _deterministic_candidates(Q, pointset, point_values_full, effort)
+    holes = {}
+    det = _deterministic_candidates(Q, pointset, point_values_full, effort, holes)
     det /= np.maximum(np.linalg.norm(det, axis=1)[:, None], 1e-300)
 
     if pointset.m > effort.subsample_cap:
@@ -451,7 +518,7 @@ def certify_l1(pointset: PointSet, Q: FrequencySet, targets: tuple[float, float]
         passed=(r_min >= targets[0]) and (r_max <= targets[1]),
         effort=effort,
         seed=seed,
-        meta={"m": pointset.m, "space": len(Q), "subsampled": pointset.m > effort.subsample_cap, "search": search},
+        meta={"m": pointset.m, "space": len(Q), "subsampled": pointset.m > effort.subsample_cap, "search": search, "holes": holes},
     )
 
 

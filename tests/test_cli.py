@@ -295,13 +295,23 @@ def test_console_script_version():
     assert "normdisc 0.1.0" in res.stdout
 
 
-def test_import_leaves_scipy_optimize_and_spatial_unloaded():
+def test_import_leaves_scipy_optimize_and_spatial_unloaded(tmp_path):
     # _hashlib (OpenSSL) serves only config_sha, the process pool only --workers > 1
     lazy = ("scipy.optimize", "scipy.spatial", "_hashlib", "concurrent.futures.process")
     code = f"import sys, normdisc.cli; print(sorted(m for m in {lazy!r} if m in sys.modules))"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+    # numpy is the only runtime dependency: an L1 attack (deep holes included) and a discretize load no scipy
+    experiment = ["experiment", "--config", "space=cross:2:1", "m=48", "methods=random", "seeds=0", "l1=true",
+                  "effort=quick", "--out", str(tmp_path / "e.csv")]
+    discretize = ["discretize", "--space", "cross:2:1", "--out", str(tmp_path / "d.json")]
+    code = ("import sys; from normdisc.cli import main; "
+            f"codes = [main({experiment!r}), main({discretize!r})]; "
+            "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip().splitlines()[-1] == f"{[EXIT_OK, EXIT_OK]} []"
 
 
 @pytest.mark.parametrize("argv", [

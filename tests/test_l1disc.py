@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from normdisc.l1disc import (
+    DEEP_HOLE_MESH,
     ChainingParams,
     FalsifierEffort,
     _deep_holes,
     _deterministic_candidates,
+    _nearest_distances,
     _optimize_ratio,
     _ratio_gradient,
     _ratio_values,
@@ -30,6 +32,7 @@ from normdisc.spaces import (
     grid_P,
     poly_norm,
     random_trig_poly,
+    torus_grid,
 )
 
 
@@ -221,6 +224,8 @@ class TestFalsifier:
             assert rec["rows"] == 10 and rec["deterministic_starts"] == 5
             assert rec["subsample"] == 32
             assert 0 < rec["accepted_steps"] <= rec["iterations"] * rec["rows"]
+        # 1-d: every mesh node's nearest point is one of its two neighbours on the axis
+        assert cert.meta["holes"] == {"mesh": DEEP_HOLE_MESH, "distances": 2 * DEEP_HOLE_MESH}
 
     @pytest.mark.parametrize(
         "space, m, effort, bound",
@@ -232,8 +237,6 @@ class TestFalsifier:
         ],
     )
     def test_scoring_memory_is_bounded(self, space, m, effort, bound):
-        import scipy.spatial  # noqa: F401  (loaded on first use by the deep-hole search; its import is not the certificate's memory)
-
         Q = build_hyperbolic_cross(*space)
         ps = random_l1_pointset(Q.dim, m, seed=0)
         tracemalloc.start()
@@ -286,6 +289,31 @@ class TestFalsifier:
         assert all(np.isin(holes[:, j], axis).all() for j in range(2))
         top = np.sort(score(mesh))[::-1][:count]
         assert np.array_equal(np.sort(score(holes))[::-1], top)
+
+    @pytest.mark.parametrize("kind, dim, size", [("random", d, m) for d in (1, 2, 3) for m in (1, 2, 7, 56, 200, 1120, 5400)]
+                             + [("grid_P", d, n) for n, d in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3))]
+                             + [("mesh", d, None) for d in (1, 2, 3)])
+    def test_deep_holes_match_a_kd_tree(self, kind, dim, size):
+        # scipy's periodic kd-tree is the reference: the sweep's scores and holes must be the same doubles
+        from scipy.spatial import cKDTree
+
+        per_axis = max(8, int(round(DEEP_HOLE_MESH ** (1.0 / dim))))
+        mesh = torus_grid([per_axis] * dim)
+        if kind == "random":
+            pts = random_l1_pointset(dim, size, seed=dim).points
+        elif kind == "grid_P":
+            pts = grid_P(build_hyperbolic_cross(size, dim).max_abs).points
+        else:
+            pts = mesh  # every node is a point: all scores tie at zero
+        score, evaluated = _nearest_distances(pts, mesh)
+        expected = cKDTree(pts, boxsize=2 * math.pi).query(mesh, p=np.inf)[0]
+        assert np.array_equal(score, expected)
+        count = FalsifierEffort().hole_count
+        record = {}
+        holes = _deep_holes(pts, dim, count, record)
+        assert np.array_equal(holes, mesh[np.argsort(expected)[::-1][:count]])
+        assert record == {"mesh": len(mesh), "distances": evaluated}
+        assert len(mesh) <= evaluated <= 2 * len(mesh) * len(pts)
 
 
 def _ascent_tables(Q, m, seed):
