@@ -21,11 +21,10 @@ Constructions:
   with support ceil(d N) and condition-number ratio at most
   ``(d + 1 + 2 sqrt(d)) / (d + 1 - 2 sqrt(d))``.
 
-With the default candidates (the nodes of the system's tensor rule), the
+Both constructions pick among the nodes of the system's tensor rule.  The
 greedy's kernel columns are shifts of the Dirichlet kernel and BSS's
 barrier forms are polynomials on Q - Q, both valued by
-``TrigPolynomial.values_on``, so neither builds the nodes x N value table;
-explicit candidates read their own value table.
+``TrigPolynomial.values_on``, so neither builds the nodes x N value table.
 """
 
 from __future__ import annotations
@@ -139,33 +138,27 @@ class FrobeniusRun:
         return int((self.residuals > self.bounds + BOUND_SLACK).sum())
 
 
-def _kernel_columns(system: OrthonormalSystem, candidates: np.ndarray | None):
-    """Candidates, the christoffel values w on them, pick -> D_N(x_pick, .) over them, and the path's name.
+def _kernel_columns(system: OrthonormalSystem):
+    """The candidates, the christoffel values w on them, and pick -> D_N(x_pick, .) over them.
 
-    On the system's tensor rule (default candidates) the kernel is
-    translation invariant, D_N(xi, x) = D_Q(x - xi), so every column is a
-    cyclic shift of D_Q on the grid (one FFT) and w = N exactly: the
-    "shift" path.  Explicit candidates read their candidates x N value
-    table: the "table" path.
+    The candidates are the nodes of the system's tensor rule.  There the
+    kernel is translation invariant, D_N(xi, x) = D_Q(x - xi), so every
+    column is a cyclic shift of D_Q on the grid (one FFT), and w = N exactly.
     """
-    if candidates is None:
-        sizes = system.quadrature.tensor_sizes(system.dim)
-        D = dirichlet_poly(system.freqs).values_on(system.quadrature).real.reshape(sizes)
-        axes = tuple(range(D.ndim))
+    sizes = system.quadrature.tensor_sizes(system.dim)
+    D = dirichlet_poly(system.freqs).values_on(system.quadrature).real.reshape(sizes)
+    axes = tuple(range(D.ndim))
 
-        def shifted(pick: int) -> np.ndarray:
-            return np.roll(D, np.unravel_index(pick, sizes), axis=axes).reshape(-1)
+    def shifted(pick: int) -> np.ndarray:
+        return np.roll(D, np.unravel_index(pick, sizes), axis=axes).reshape(-1)
 
-        return system.quadrature.nodes, np.full(D.size, float(system.size)), shifted, "shift"
-    candidates = np.asarray(candidates, dtype=float)
-    U = system.evaluate(candidates)
-    return candidates, (U * U).sum(axis=1), lambda pick: U @ U[pick], "table"
+    return system.quadrature.nodes, np.full(D.size, float(system.size)), shifted
 
 
-def frobenius_rga_pointset(system: OrthonormalSystem, m: int, candidates: np.ndarray | None = None) -> FrobeniusRun:
+def frobenius_rga_pointset(system: OrthonormalSystem, m: int) -> FrobeniusRun:
     """Relaxed greedy on rank-one atoms G(x) = u(x) u(x)^T targeting I.
 
-    Candidates default to the system quadrature nodes, over which
+    The candidates are the system quadrature nodes, over which
     I = sum_nu omega_nu G(x_nu) exactly; the target is therefore a convex
     combination of atoms and the relaxed greedy guarantee applies verbatim:
 
@@ -174,14 +167,12 @@ def frobenius_rga_pointset(system: OrthonormalSystem, m: int, candidates: np.nda
     Selection maximizes w(x) - S(x)/(j-1) with S(x) = sum_k D_N(xi_k, x)^2,
     which is the Frobenius inner product of the residual with G(x) up to
     positive scaling; S is updated incrementally from kernel columns, and
-    ties go to the lowest candidate index.  With the default candidates the
-    columns are cyclic shifts of the Dirichlet kernel D_Q on the tensor
-    grid and w = N exactly, so the first pick is node 0
-    (``meta["kernel"] == "shift"``).  Explicit candidates read the system's
-    value table on them (``meta["kernel"] == "table"``).
+    ties go to the lowest candidate index.  The columns are cyclic shifts of
+    the Dirichlet kernel D_Q on the tensor grid and w = N exactly, so the
+    first pick is node 0.
     """
     check_m(m)
-    candidates, w, column, kernel = _kernel_columns(system, candidates)
+    candidates, w, column = _kernel_columns(system)
     n = system.size
     t = system.constants.t
 
@@ -209,7 +200,7 @@ def frobenius_rga_pointset(system: OrthonormalSystem, m: int, candidates: np.nda
         residuals=np.array(residuals),
         bounds=bounds,
         certificate=cert,
-        meta={"n_candidates": len(w), "kernel": kernel},
+        meta={"n_candidates": len(w)},
     )
 
 
@@ -245,7 +236,7 @@ def _barrier_quadratic_forms(lam: np.ndarray, W: np.ndarray, scale: float, upper
 
     The vectors are v = sqrt(scale) u(x) over the candidates x.  ``forms(W,
     factors)`` returns sum_i f_i (u(x)^T w_i)^2 over the candidates for each
-    length-N factor f (see :func:`_barrier_forms`); the scale goes into the
+    length-N factor f (see :func:`_fft_forms`); the scale goes into the
     four factors, so no scaled copy of the candidates' values is made.
     """
     du = upper - lam
@@ -254,18 +245,6 @@ def _barrier_quadratic_forms(lam: np.ndarray, W: np.ndarray, scale: float, upper
     phi_u = float((1.0 / du).sum())
     phi_l = float((1.0 / dl).sum())
     return q1u, q2u, q1l, q2l, phi_u, phi_l
-
-
-def _table_forms(U: np.ndarray):
-    """The barrier forms read off the candidates x N value table ``U``, through one buffer per run."""
-    buffer = np.empty(U.shape)
-
-    def forms(W, factors):
-        UW = np.matmul(U, W, out=buffer)
-        UW *= UW  # squared once, in place, for the four forms
-        return [UW @ f for f in factors]
-
-    return forms
 
 
 def _fft_forms(system: OrthonormalSystem):
@@ -293,35 +272,12 @@ def _fft_forms(system: OrthonormalSystem):
     return forms
 
 
-def _barrier_forms(system: OrthonormalSystem, candidates: np.ndarray | None):
-    """Candidates, pick -> u(x_pick), the barrier forms over the candidates, and the path's name.
-
-    The default candidates take the "fft" path (see
-    :func:`bss_weighted_sparsify`), which evaluates the basis at the one
-    node each step picks.  Explicit candidates take the "table" path, which
-    reads rows of their value table, after checking that they resolve the
-    identity.
-    """
-    quad = system.quadrature
-    if candidates is None:
-        return quad.nodes, lambda pick: system.evaluate(quad.nodes[pick]).reshape(-1), _fft_forms(system), "fft"
-    candidates = np.asarray(candidates, dtype=float)
-    U = system.evaluate(candidates)
-    n = system.size
-    if len(candidates) < n:
-        raise ValueError("need at least N candidate points")
-    if np.abs(weighted_gram(U, np.full(len(candidates), 1.0 / len(candidates))) - np.eye(n)).max() > 1e-8:
-        raise ValueError("candidates do not resolve the identity")
-    return candidates, U.__getitem__, _table_forms(U), "table"
-
-
-def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates: np.ndarray | None = None) -> BssResult:
+def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float) -> BssResult:
     """Deterministic weighted point selection with spectral-ratio guarantee.
 
-    Works on candidate vectors v_j = u(x_j)/sqrt(M) that resolve the
-    identity (sum_j v_j v_j^T = I).  The default candidates, the nodes of
-    the system's equal-weight tensor rule, do so by construction of the
-    system; explicit candidates are checked numerically to 1e-8.  Runs
+    Works on candidate vectors v_j = u(x_j)/sqrt(M) over the M nodes of the
+    system's equal-weight tensor rule, which resolve the identity
+    (sum_j v_j v_j^T = I) by construction of the system.  Runs
     ceil(d N) barrier steps keeping all eigenvalues of the running matrix
     between moving barriers l and u; each step adds one reweighted rank-one
     candidate chosen so both barrier potentials stay controlled, and
@@ -332,20 +288,17 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
     support at most ceil(d N).
 
     Each step needs the forms v^T (uI-A)^{-p} v and v^T (A-lI)^{-p} v,
-    p = 1, 2, at every candidate.  With the default candidates they are
-    trigonometric polynomials on Q - Q, two inverse FFTs per step, and the
-    rank-one update evaluates the basis at the one node it picks, so no
-    value table is built (``meta["forms"] == "fft"``).  Explicit candidates
-    multiply their candidates x N table by the eigenvectors at each step
-    (``meta["forms"] == "table"``).  Both paths pick the same points.
+    p = 1, 2, at every candidate.  They are trigonometric polynomials on
+    Q - Q, two inverse FFTs per step, and the rank-one update evaluates the
+    basis at the one node it picks, so no value table is built.
 
     When the candidate set is already no larger than ceil(d N), the full
     set (which realizes the identity exactly) is returned unchanged, with
     ``steps == 0``.
     """
     check_bss_d(d_param)
-    # default candidates are the system's equal-weight nodes, which construction proved exact
-    candidates, row, forms, path = _barrier_forms(system, candidates)
+    # the system's equal-weight nodes, which construction proved exact
+    candidates = system.quadrature.nodes
     M_cand = candidates.shape[0]
     n = system.size
 
@@ -372,6 +325,7 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
     lower = -n * rd
     upper = n * (d_param + rd) / (rd - 1.0)
 
+    forms = _fft_forms(system)
     A = np.zeros((n, n))
     lamA, W = np.linalg.eigh(A)  # carried over: each step decomposes A once
     acc_weights: dict[int, float] = {}
@@ -396,10 +350,10 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
         best = float(gap.max())
         if best < -1e-7:
             raise RuntimeError(f"step {step}: no feasible candidate (best gap {best:.3e})")
-        # ties within rounding go to the lowest index, whichever path gave the gaps
+        # ties within rounding go to the lowest index, so rounding in the forms does not pick the point
         j = int(np.argmax(gap >= best - BSS_TIE_TOL * max(1.0, abs(best))))
         w_j = 2.0 / (Uv[j] + Lv[j])
-        u_j = row(j)
+        u_j = system.evaluate(candidates[j]).reshape(-1)
         A = A + (w_j / M_cand) * np.outer(u_j, u_j)
         acc_weights[j] = acc_weights.get(j, 0.0) + w_j
         upper, lower = upper_next, lower_next
@@ -427,28 +381,5 @@ def bss_weighted_sparsify(system: OrthonormalSystem, d_param: float, candidates:
         ratio=lam_max / lam_min,
         ratio_bound=bound,
         steps=steps,
-        meta={"barriers": (lower, upper), "forms": path},
+        meta={"barriers": (lower, upper)},
     )
-
-
-# ---------------------------------------------------------------------------
-# exact second-moment identities used as oracles in tests
-
-
-def rank_one_spectrum(system: OrthonormalSystem, x) -> np.ndarray:
-    """Eigenvalues of G(x) = u(x) u(x)^T: christoffel value and zeros."""
-    u = system.evaluate(x).reshape(-1)
-    return np.linalg.eigvalsh(np.outer(u, u))
-
-
-def quadrature_second_moment(system: OrthonormalSystem) -> np.ndarray:
-    """E_quad[(G(x) - I)^2]; equals (N - 1) I under condition D.
-
-    Since G(x)^2 = w(x) G(x), the moment is
-    sum_nu omega_nu (w(x_nu) - 2) G(x_nu) + (sum_nu omega_nu) I, with the
-    christoffel values w(x_nu) computed from the table rather than assumed.
-    """
-    U = system.quad_values
-    om = system.quadrature.weights
-    w = np.einsum("ij,ij->i", U, U)
-    return weighted_gram(U, om * (w - 2.0)) + om.sum() * np.eye(system.size)

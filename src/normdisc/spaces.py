@@ -397,17 +397,6 @@ def dirichlet_poly(Q: FrequencySet) -> TrigPolynomial:
     return TrigPolynomial(Q, np.ones(len(Q), dtype=complex))
 
 
-def random_trig_poly(Q: FrequencySet, rng: np.random.Generator, real: bool = False) -> TrigPolynomial:
-    """Standard complex Gaussian coefficients; conjugate-symmetrized if real."""
-    c = rng.standard_normal(len(Q)) + 1j * rng.standard_normal(len(Q))
-    if real:
-        if not Q.symmetric:
-            raise ValueError("real polynomials need a symmetric support")
-        neg = Q.neg_index
-        c = 0.5 * (c + np.conj(c[neg]))
-    return TrigPolynomial(Q, c)
-
-
 # ---------------------------------------------------------------------------
 # norms
 
@@ -619,15 +608,6 @@ class OrthonormalSystem:
 
     def evaluate(self, points) -> np.ndarray:
         return self.basis.evaluate(as_points(points, self.dim))
-
-    @cached_property
-    def quad_values(self) -> np.ndarray:
-        """The (nodes, N) table of the basis at the quadrature nodes, read only by the second-moment oracle."""
-        return self.evaluate(self.quadrature.nodes)
-
-    def christoffel(self, points) -> np.ndarray:
-        u = self.evaluate(points)
-        return (u * u).sum(axis=1)
 
     def span_norm(self, coeffs: np.ndarray, p: float) -> float:
         """L_p norm of sum_i coeffs_i u_i on the quadrature; its node values are one inverse FFT."""

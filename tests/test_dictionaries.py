@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import random_trig_poly
 
 from normdisc.dictionaries import (
     DeltaNet,
@@ -14,7 +15,7 @@ from normdisc.dictionaries import (
     shifted_kernel_dict,
     symmetrize,
 )
-from normdisc.spaces import grid_P, random_trig_poly
+from normdisc.spaces import grid_P
 
 
 def test_exponential_dict_is_identity(cross2):

@@ -87,7 +87,7 @@ class TestEmpiricalCovering:
         # stay under the trivial volume cap and be nontrivial at small eps
         n = 200
         coeffs = rng.dirichlet(np.ones(7), size=n) * rng.choice([-1, 1], size=(n, 7))
-        tables = coeffs @ trig7.quad_values.T
+        tables = coeffs @ trig7.evaluate(trig7.quadrature.nodes).T
         few = empirical_covering(tables, 1.0)
         many = empirical_covering(tables, 0.05)
         assert 1 <= len(few) < len(many) <= n

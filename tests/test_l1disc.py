@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import random_trig_poly
 
 from normdisc.l1disc import (
     DEEP_HOLE_MESH,
@@ -31,7 +32,6 @@ from normdisc.spaces import (
     freqset,
     grid_P,
     poly_norm,
-    random_trig_poly,
     torus_grid,
 )
 

@@ -1,14 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import no_rule_table, quadrature_second_moment, rank_one_spectrum, table_forms
 
 from normdisc import l2disc
 from normdisc.l2disc import (
     _barrier_quadratic_forms,
     _fft_forms,
     _kernel_columns,
-    _table_forms,
     bss_ratio_bound,
     bss_weighted_sparsify,
     concentration_budget,
@@ -16,13 +17,10 @@ from normdisc.l2disc import (
     frobenius_rga_pointset,
     l2_certificate,
     min_m_concentration,
-    quadrature_second_moment,
     random_l2_pointset,
-    rank_one_spectrum,
 )
 from normdisc.spaces import (
     GRAM_BLOCK_ROWS,
-    OrthonormalSystem,
     PointSet,
     build_box,
     build_hyperbolic_cross,
@@ -79,7 +77,7 @@ class TestSpectraOracles:
 
     def test_second_moment_over_row_blocks(self):
         system = real_trig_system(build_hyperbolic_cross(4, 2))
-        U, om = system.quad_values, system.quadrature.weights
+        U, om = system.evaluate(system.quadrature.nodes), system.quadrature.weights
         assert U.shape[0] > GRAM_BLOCK_ROWS
         w = (U * U).sum(axis=1)
         one_shot = (U * (om * (w - 2.0))[:, None]).T @ U + om.sum() * np.eye(system.size)
@@ -166,29 +164,24 @@ class TestFrobeniusGreedy:
     )
     def test_shifted_dirichlet_column_is_the_kernel(self, Q, oversample):
         system = real_trig_system(Q, oversample=oversample)
-        nodes, w, column, kernel = _kernel_columns(system, None)
-        assert kernel == "shift"
+        nodes, w, column = _kernel_columns(system)
         assert nodes is system.quadrature.nodes
         assert np.array_equal(w, np.full(system.quadrature.size, float(system.size)))
-        U = system.quad_values
+        U = system.evaluate(system.quadrature.nodes)
         for p in (0, 1, 5, U.shape[0] // 3, U.shape[0] - 1):
             assert np.abs(column(p) - U @ U[p]).max() < 1e-12
 
-    def test_kernel_path_recorded(self, trig7, rng):
-        assert frobenius_rga_pointset(trig7, 3).meta == {"n_candidates": 28, "kernel": "shift"}
-        cand = rng.uniform(0, 2 * math.pi, size=(40, 1))
-        assert frobenius_rga_pointset(trig7, 3, candidates=cand).meta["kernel"] == "table"
-        own = frobenius_rga_pointset(trig7, 3, candidates=trig7.quadrature.nodes)  # the system's own nodes
-        assert own.meta == {"n_candidates": 28, "kernel": "table"}
+    def test_kernel_path_recorded(self, trig7):
+        assert frobenius_rga_pointset(trig7, 3).meta["n_candidates"] == 28
 
     def test_first_pick_is_node_zero(self):
         for Q in (build_hyperbolic_cross(2, 1), build_hyperbolic_cross(4, 2), build_hyperbolic_cross(2, 3)):
             assert frobenius_rga_pointset(real_trig_system(Q), 1).selected == [0]
 
-    def test_custom_candidates(self, trig7, rng):
-        cand = rng.uniform(0, 2 * math.pi, size=(40, 1))
-        run = frobenius_rga_pointset(trig7, 5, candidates=cand)
-        assert all(0 <= j < 40 for j in run.selected)
+
+def with_table_forms(monkeypatch):
+    """Make BSS read its forms off the nodes' value table, the reference of the fft forms."""
+    monkeypatch.setattr(l2disc, "_fft_forms", lambda s: table_forms(s.evaluate(s.quadrature.nodes)))
 
 
 class TestBarrierSparsify:
@@ -202,7 +195,7 @@ class TestBarrierSparsify:
         A = V[:10].T @ (rng.uniform(0.5, 2.0, 10)[:, None] * V[:10])
         lam, W = np.linalg.eigh(A)
         upper, lower = lam[-1] + 0.7, lam[0] - 0.4
-        q1u, q2u, q1l, q2l, phi_u, phi_l = _barrier_quadratic_forms(lam, W, 1.0 / 30, upper, lower, _table_forms(U))
+        q1u, q2u, q1l, q2l, phi_u, phi_l = _barrier_quadratic_forms(lam, W, 1.0 / 30, upper, lower, table_forms(U))
         Ru = np.linalg.solve(upper * np.eye(n) - A, V.T)  # (uI - A)^{-1} v per column
         Rl = np.linalg.solve(A - lower * np.eye(n), V.T)
         assert np.abs(q1u - np.einsum("ij,ji->i", V, Ru)).max() < 1e-10
@@ -224,7 +217,7 @@ class TestBarrierSparsify:
     )
     def test_fft_forms_match_table_and_solve(self, Q, oversample, rng):
         system = real_trig_system(Q, oversample=oversample)
-        U = system.quad_values
+        U = system.evaluate(system.quadrature.nodes)
         n, scale = system.size, 1.0 / len(U)
         V = U * math.sqrt(scale)
         picks = rng.choice(len(U), 3 * n, replace=False)
@@ -232,7 +225,7 @@ class TestBarrierSparsify:
         lam, W = np.linalg.eigh(A)
         upper, lower = lam[-1] + 0.7, lam[0] - 0.4
         fft = _barrier_quadratic_forms(lam, W, scale, upper, lower, _fft_forms(system))
-        table = _barrier_quadratic_forms(lam, W, scale, upper, lower, _table_forms(U))
+        table = _barrier_quadratic_forms(lam, W, scale, upper, lower, table_forms(U))
         for a, b in zip(fft, table):
             assert np.abs(np.asarray(a) - b).max() < 1e-10
         Ru = np.linalg.solve(upper * np.eye(n) - A, V.T)
@@ -248,20 +241,13 @@ class TestBarrierSparsify:
         [(build_hyperbolic_cross(3, 2), 4), (build_hyperbolic_cross(2, 3), 4), (build_box([3, 3]), 4), (build_box([7]), 8)],
         ids=["cross:3:2", "cross:2:3", "box:3x3", "box:7"],
     )
-    def test_fft_path_picks_the_table_path_points(self, Q, oversample):
+    def test_fft_path_picks_the_table_path_points(self, Q, oversample, monkeypatch):
         system = real_trig_system(Q, oversample=oversample)
         fft = bss_weighted_sparsify(system, 4.0)
-        table = bss_weighted_sparsify(system, 4.0, candidates=system.quadrature.nodes)
-        assert (fft.meta["forms"], table.meta["forms"]) == ("fft", "table")
+        with_table_forms(monkeypatch)
+        table = bss_weighted_sparsify(system, 4.0)
         assert np.array_equal(fft.pointset.points, table.pointset.points)
         assert np.allclose(fft.pointset.weights, table.pointset.weights, rtol=1e-9, atol=0)
-
-    def test_forms_path_recorded(self):
-        system = real_trig_system(build_box([3]), oversample=8)
-        assert bss_weighted_sparsify(system, 4.0).meta["forms"] == "fft"
-        assert bss_weighted_sparsify(system, 4.0, candidates=system.quadrature.nodes).meta["forms"] == "table"
-        cand = real_trig_system(build_box([3]), oversample=12).quadrature.nodes  # another exact set
-        assert bss_weighted_sparsify(system, 4.0, candidates=cand).meta["forms"] == "table"
 
     def test_guarantees_hold(self):
         system = real_trig_system(build_box([3]), oversample=8)  # 56 candidates
@@ -312,11 +298,12 @@ class TestBarrierSparsify:
         with pytest.raises(ValueError, match="1 < d < inf"):
             bss_weighted_sparsify(trig7, d)
 
-    def test_point_set_does_not_follow_table_rounding(self):
-        # the nodes as explicit candidates: their table comes from evaluate, and the forms differ from the fft forms by ~1e-14
+    def test_point_set_does_not_follow_table_rounding(self, monkeypatch):
+        # forms read off the nodes' table from evaluate differ from the fft forms by ~1e-14
         system = real_trig_system(build_hyperbolic_cross(3, 2), oversample=1)  # D = Q - Q aliases mod sizes
         a = bss_weighted_sparsify(system, 4.0).pointset
-        b = bss_weighted_sparsify(system, 4.0, candidates=system.quadrature.nodes).pointset
+        with_table_forms(monkeypatch)
+        b = bss_weighted_sparsify(system, 4.0).pointset
         assert np.array_equal(a.points, b.points)
         assert np.allclose(a.weights, b.weights, rtol=1e-9, atol=0)
 
@@ -327,25 +314,22 @@ class TestBarrierSparsify:
         bss_weighted_sparsify(system, 4.0)
         assert calls == []  # the system's own nodes: its construction proved them exact
 
-    def test_default_candidates_build_no_table(self, monkeypatch):
-        reads = []
-        table = OrthonormalSystem.quad_values.func
-        monkeypatch.setattr(OrthonormalSystem, "quad_values", property(lambda self: reads.append(self) or table(self)))
+    def test_default_candidates_build_no_table(self):
         for Q in (build_box([3]), build_hyperbolic_cross(3, 2)):
             system = real_trig_system(Q, oversample=8)
-            assert reads == []  # construction proves orthonormality on Q alone
-            assert bss_weighted_sparsify(system, 4.0).steps > 0
-            assert reads == []  # the forms are polynomials on Q - Q, valued by one FFT each
-
-    def test_explicit_candidates_are_checked(self, trig7, monkeypatch):
-        nodes = real_trig_system(build_box([3]), oversample=8).quadrature.nodes
-        calls = []
-        monkeypatch.setattr(l2disc, "weighted_gram", lambda *a: calls.append(a) or weighted_gram(*a))
-        res = bss_weighted_sparsify(trig7, 4.0, candidates=nodes)
-        assert len(calls) == 1
-        assert res.ratio <= 9.0 + 1e-9
-        with pytest.raises(ValueError, match="resolve the identity"):
-            bss_weighted_sparsify(trig7, 4.0, candidates=np.linspace(0.0, 1.0, 40))
+            with no_rule_table(system.quadrature.size):  # the forms are polynomials on Q - Q, valued by one FFT each
+                assert bss_weighted_sparsify(system, 4.0).steps > 0
+        # cross:6:2: 769 functions on 258,064 nodes, where the nodes x N table alone would take 1.6 GB
+        tracemalloc.start()
+        try:
+            system = real_trig_system(build_hyperbolic_cross(6, 2))
+            with no_rule_table(system.quadrature.size):  # the kernel columns are shifts of one FFT of D_Q
+                run = frobenius_rga_pointset(system, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.bound_violations() == 0
+        assert peak < 50e6  # 31 MB measured
 
     def test_other_d_values(self):
         system = real_trig_system(build_box([3]), oversample=12)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import christoffel, no_rule_table, random_trig_poly
 
 from normdisc import spaces
 from normdisc.cli import parse_space
@@ -30,7 +31,6 @@ from normdisc.spaces import (
     freqset,
     grid_P,
     poly_norm,
-    random_trig_poly,
     real_trig_system,
     torus_grid,
     weighted_gram,
@@ -224,7 +224,8 @@ class TestNorms:
         code = (
             "import sys, math, numpy as np; from normdisc import spaces\n"
             "q = spaces.build_hyperbolic_cross(2, 2); rng = np.random.default_rng(0)\n"
-            "spaces.poly_norm(spaces.random_trig_poly(q, rng), math.inf)\n"
+            "c = rng.standard_normal(len(q)) + 1j * rng.standard_normal(len(q))\n"
+            "spaces.poly_norm(spaces.TrigPolynomial(q, c), math.inf)\n"
             "spaces.real_trig_system(q).span_norm(rng.standard_normal(len(q)), math.inf)\n"
             "print('scipy.optimize' in sys.modules)"
         )
@@ -299,7 +300,7 @@ class TestQuadrature:
     def test_exact_for_products(self, rng):
         # oversample 4 integrates u_i * u_j exactly
         sys = real_trig_system(build_box([2]))
-        g = weighted_gram(sys.quad_values, sys.quadrature.weights)
+        g = weighted_gram(sys.evaluate(sys.quadrature.nodes), sys.quadrature.weights)
         assert np.abs(g - np.eye(sys.size)).max() < 1e-12
 
     def test_gram_over_row_blocks(self, trig7, rng):
@@ -424,7 +425,7 @@ class TestPointSet:
 class TestOrthonormalSystems:
     def test_trig_system_basic(self, trig7, cross2):
         assert trig7.size == len(cross2) == 7
-        w = trig7.christoffel(np.array([[0.0], [0.7], [2.9]]))
+        w = christoffel(trig7, np.array([[0.0], [0.7], [2.9]]))
         assert np.abs(w - 7).max() < 1e-10
 
     def test_kernel_matches_dirichlet(self, trig7, cross2):
@@ -438,7 +439,7 @@ class TestOrthonormalSystems:
         # a real polynomial expressed in both bases has equal norms
         f = random_trig_poly(cross2, rng, real=True)
         vals = f.evaluate(trig7.quadrature.nodes).real
-        coeffs = (trig7.quad_values * trig7.quadrature.weights[:, None]).T @ vals
+        coeffs = (trig7.evaluate(trig7.quadrature.nodes) * trig7.quadrature.weights[:, None]).T @ vals
         for p in (1, 2, 4):
             assert trig7.span_norm(coeffs, p) == pytest.approx(poly_norm(f, p, trig7.quadrature), abs=1e-9)
 
@@ -446,7 +447,7 @@ class TestOrthonormalSystems:
         # the trig system on a uniform grid of a chosen size, not the one tensor_torus picks
         sys = OrthonormalSystem(TrigBasis(cross2), tensor_rule([16]))
         assert sys.size == 7
-        assert np.abs(sys.christoffel(sys.quadrature.nodes) - 7).max() < 1e-12
+        assert np.abs(christoffel(sys, sys.quadrature.nodes) - 7).max() < 1e-12
 
     def test_grid_system_too_coarse_rejected(self, cross2):
         with pytest.raises(ValueError, match="Gram"):
@@ -455,7 +456,7 @@ class TestOrthonormalSystems:
     def test_grid_system_needs_only_distinct_residues(self):
         # 5 <= 2 * max|k| = 6, yet 0, 1, 4, 3, 2 = k mod 5 are distinct
         sys = OrthonormalSystem(TrigBasis(freqset([(0,), (1,), (-1,), (3,), (-3,)])), tensor_rule([5]))
-        assert np.abs(weighted_gram(sys.quad_values, sys.quadrature.weights) - np.eye(5)).max() <= 1e-12
+        assert np.abs(weighted_gram(sys.evaluate(sys.quadrature.nodes), sys.quadrature.weights) - np.eye(5)).max() <= 1e-12
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
@@ -468,7 +469,7 @@ class TestOrthonormalSystems:
         plain = OrthonormalSystem(trig7.basis, trig7.quadrature)
         assert plain.dim == 1
         # the cap t is derived, and w(x) = N t^2 holds at every point (condition D)
-        w = plain.christoffel(rng.uniform(0, 2 * math.pi, size=(20, 1)))
+        w = christoffel(plain, rng.uniform(0, 2 * math.pi, size=(20, 1)))
         assert np.abs(w - plain.size * plain.constants.t**2).max() < 1e-12
 
     TABLE_SUPPORTS = [
@@ -511,15 +512,12 @@ class TestOrthonormalSystems:
             OrthonormalSystem(TrigBasis(build_hyperbolic_cross(2, 2)), tensor_rule(sizes))
 
     def test_trig_system_on_its_tensor_rule_skips_the_gram_product(self, monkeypatch):
-        calls, tables = [], []
+        calls = []
         monkeypatch.setattr(spaces, "weighted_gram", lambda *a: calls.append(a) or weighted_gram(*a))
-        table = OrthonormalSystem.quad_values.func
-        monkeypatch.setattr(OrthonormalSystem, "quad_values", property(lambda self: tables.append(self) or table(self)))
-        sys = real_trig_system(build_hyperbolic_cross(4, 2))
+        Q = build_hyperbolic_cross(4, 2)
+        with no_rule_table(Quadrature.tensor_torus(Q.max_abs).size):  # w = N is an identity of the basis: no table is built
+            real_trig_system(Q)
         assert calls == []
-        assert tables == []  # w = N is an identity of the basis: no table is built
-        sys.quad_values
-        assert tables == [sys]
 
     def test_trig_system_builds_in_memory_of_its_nodes(self):
         # cross:6:2 has 258,064 nodes (6 MB of nodes and weights); its nodes x N table would take 1.6 GB
