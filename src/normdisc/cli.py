@@ -22,7 +22,7 @@ DISCRETIZE_M = 64  # discretize --m when not given
 METHODS = ("random", "greedy", "bss", "grid")
 
 CSV_COLUMNS = ("space", "N", "m", "method", "seed", "eps", "r_min", "r_max", "runtime_ms")
-MAX_SPACE_ENTRIES = 2**18  # cap on |Q| * d of a parsed space, whose frequency set holds |Q| tuples of d ints
+MAX_SPACE_ENTRIES = 2**18  # cap on |Q| * d of a parsed space, the entries of its frequency set's (|Q|, d) array
 MAX_SEEDS = 2**16  # cap on the seeds of one experiment, each one job per method
 
 
@@ -68,7 +68,7 @@ def parse_space(spec: str) -> FrequencySet:
 
 
 def parse_seeds(spec: str) -> list[int]:
-    """'0..9' (inclusive) or '1,4,7'; a range is counted before its list is built."""
+    """'0..9' (inclusive) or '1,4,7', none negative; a range is counted before its list is built."""
     if ".." in spec:
         lo, _, hi = spec.partition("..")
         seeds = range(int(lo), int(hi) + 1)
@@ -76,8 +76,11 @@ def parse_seeds(spec: str) -> list[int]:
             raise ConfigError(f"empty seed range {spec!r}")
         if seeds.stop - seeds.start > MAX_SEEDS:
             raise ConfigError(f"seed range {spec!r} holds more than MAX_SEEDS = {MAX_SEEDS:,} seeds")
-        return list(seeds)
-    return [int(v) for v in spec.split(",")]
+    else:
+        seeds = [int(v) for v in spec.split(",")]
+    if min(seeds) < 0:  # numpy's generators refuse it only once a job runs, and grid ignores its seed
+        raise ConfigError(f"seeds must be non-negative, got {min(seeds)}")
+    return list(seeds)
 
 
 def fmt(x) -> str:
@@ -228,6 +231,8 @@ def cmd_discretize(args) -> int:
     elif args.method not in ("random", "greedy"):
         raise ConfigError(f"--m does not apply to --method {args.method}, which sets its own point count")
     check_m(m)
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     check_eps_target(args.eps_target)
     if args.method == "bss":
         check_bss_d(args.bss_d)

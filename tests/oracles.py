@@ -19,8 +19,7 @@ def random_trig_poly(Q: FrequencySet, rng: np.random.Generator, real: bool = Fal
     if real:
         if not Q.symmetric:
             raise ValueError("real polynomials need a symmetric support")
-        neg = Q.neg_index
-        c = 0.5 * (c + np.conj(c[neg]))
+        c = 0.5 * (c + np.conj(c[::-1]))  # -Q is Q reversed
     return TrigPolynomial(Q, c)
 
 

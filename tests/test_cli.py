@@ -346,6 +346,19 @@ def test_invalid_config_exits_before_any_system_is_built(argv, capsys, no_system
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,setting", [
+    (["experiment", "--config", "space=cross:2:1", "seeds=-1..1", "methods=greedy,random"], "seeds"),
+    (["experiment", "--config", "space=cross:2:1", "seeds=0,-2", "methods=grid"], "seeds"),
+    (["discretize", "--space", "cross:2:1", "--method", "random", "--seed", "-3"], "--seed"),
+    (["discretize", "--space", "cross:2:1", "--method", "grid", "--seed", "-3"], "--seed"),
+])
+def test_negative_seed_is_refused_before_any_system_is_built(argv, setting, capsys, no_system):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {setting} must be non-negative") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("pairs,sha", [
     (["l1=yes", "effort=full"], "06b6b85813816968"),
     (["l1=TRUE", "effort=full"], "06b6b85813816968"),

@@ -42,7 +42,7 @@ NO_SIZES = "needs a tensor rule \\(meta\\['sizes'\\]\\)"  # the message of Quadr
 class TestFrequencySets:
     def test_box_1d(self):
         q = build_box([2])
-        assert q.freqs == ((-2,), (-1,), (0,), (1,), (2,))
+        assert tuple(q) == ((-2,), (-1,), (0,), (1,), (2,))
         assert len(q) == 5 and q.symmetric
 
     def test_box_2d_size(self):
@@ -77,11 +77,39 @@ class TestFrequencySets:
         with pytest.raises(ValueError):
             freqset([(1,), (1,)])
 
-    def test_neg_index(self):
-        q = freqset([(-2,), (0,), (2,)])
-        neg = q.neg_index
-        assert neg[q.index[(2,)]] == q.index[(-2,)]
-        assert q.symmetric
+    @given(st.data())
+    def test_array_is_the_sorted_set_of_tuples(self, data):
+        # every derived property against its definition on the set of tuples, from shuffled inputs
+        d = data.draw(st.integers(1, 3))
+        members = set(data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=24)))
+        if data.draw(st.booleans()):
+            members |= {tuple(-v for v in k) for k in members}
+        order = data.draw(st.permutations(sorted(members)))
+        q = freqset(order, d)
+        assert list(q) == sorted(members) and q.array.shape == (len(members), d)
+        assert q == freqset(members, d) == FrequencySet(d, np.array(order[::-1], dtype=np.int64).reshape(-1, d))
+        assert q.symmetric == (members == {tuple(-v for v in k) for k in members})
+        with pytest.raises(ValueError):
+            q.array[...] = 0  # read-only
+        assert FrequencySet.from_json(q.to_json()) == q
+        if members:
+            with pytest.raises(ValueError, match="duplicate"):
+                freqset([*order, order[-1]])
+        if members and q.symmetric:
+            basis = TrigBasis(q)
+            assert basis.has_const == ((0,) * d in members)
+            leading = [k for k in sorted(members) if next((v for v in k if v), 0) > 0]  # positive leading nonzero coordinate
+            assert list(map(tuple, basis.rep_array.tolist())) == leading
+
+    def test_largest_1d_space_builds_in_little_memory(self):
+        # cross:17:1, the largest 1-d set under MAX_SPACE_ENTRIES: 262,143 frequencies, 2.1 MB of int64
+        tracemalloc.start()
+        try:
+            Q = parse_space("cross:17:1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(Q) == 2**18 - 1 and peak < 20e6
 
     def test_json_roundtrip(self):
         q = build_hyperbolic_cross(2, 2)
@@ -93,7 +121,7 @@ class TestFrequencySets:
     def test_differences_index_every_pair(self, q):
         D, position = q.differences()
         direct = {tuple(l - k) for k in q.array for l in q.array}
-        assert set(D.freqs) == direct and len(D) == len(direct)
+        assert set(D) == direct and len(D) == len(direct)
         assert position.shape == (len(q) ** 2,)
         pairs = (q.array[None, :, :] - q.array[:, None, :]).reshape(-1, q.dim)
         assert np.array_equal(D.array[position], pairs)  # pair (k, l) -> l - k, row-major
@@ -103,7 +131,7 @@ class TestFrequencySets:
         pts = rng.uniform(0, 2 * math.pi, size=(9, q.dim))
         table = q.characters(pts)
         assert table.shape == (len(q), 9)
-        for i, k in enumerate(q.freqs):
+        for i, k in enumerate(q):
             for j, x in enumerate(pts):
                 assert abs(table[i, j] - np.exp(1j * sum(kv * xv for kv, xv in zip(k, x)))) < 1e-14
 
@@ -559,10 +587,10 @@ class TestTrigBasis:
     def test_derived_from_its_frequency_set(self):
         basis = TrigBasis(build_hyperbolic_cross(2, 2))
         # one representative of each pair {k, -k}, the one with a positive leading nonzero coordinate, sorted
-        assert basis.reps == tuple(sorted({max(k, tuple(-v for v in k)) for k in basis.freqs if any(k)}))
-        assert basis.has_const and basis.n_funcs == len(basis.freqs) == 1 + 2 * len(basis.reps)
-        assert basis.rep_array.shape == (len(basis.reps), 2)
-        assert TrigBasis(freqset([(1, 0), (-1, 0)])).reps == ((1, 0),)
+        assert list(map(tuple, basis.rep_array.tolist())) == sorted({max(k, tuple(-v for v in k)) for k in basis.freqs if any(k)})
+        assert basis.has_const and basis.n_funcs == len(basis.freqs) == 1 + 2 * len(basis.rep_array)
+        assert basis.rep_array.shape == (len(basis.rep_array), 2)
+        assert TrigBasis(freqset([(1, 0), (-1, 0)])).rep_array.tolist() == [[1, 0]]
 
     def test_constant_only_basis(self):
         basis = TrigBasis(build_box([0, 0]))
