@@ -74,7 +74,7 @@ class FrequencySet:
             a = a.reshape(0, self.dim)
         if a.ndim != 2 or a.shape[1] != self.dim:
             raise ValueError(f"frequencies of shape {a.shape} do not have dimension {self.dim}")
-        a = a[np.lexsort(a.T[::-1])]  # the last key sorts first
+        a = a[np.lexsort(a.T[::-1])]  # lexsort's primary key is its last, so column 0 goes last
         same = (a[1:] == a[:-1]).all(axis=1)
         if same.any():
             raise ValueError(f"duplicate frequency {tuple(a[same.argmax()].tolist())}")
