@@ -9,6 +9,10 @@ inner products of columns:
 * real coordinates (basis ``u_1 .. u_N``) for dictionaries built from an
   :class:`~normdisc.spaces.OrthonormalSystem`.
 
+A dictionary's field is that of its atoms: complex atoms are complex
+coordinates.  Kernel translates are taken at the nodes of a
+:func:`delta_net`, itself a tensor rule.
+
 The main families:
 
 * :func:`exponential_dict`        the ambient basis itself,
@@ -28,7 +32,7 @@ lowest atom index so runs are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,12 +40,10 @@ from .spaces import (
     TWO_PI,
     FrequencySet,
     OrthonormalSystem,
+    Quadrature,
     as_points,
     grid_P,
-    torus_grid,
 )
-
-SCALED_BASIS = "scaled-basis-signed"  # the kind of scaled_basis_dict, whose atoms greedy.ia selects from without building them
 
 
 @dataclass
@@ -49,9 +51,7 @@ class Dictionary:
     """A finite dictionary stored as an (ambient_dim, n_atoms) column matrix."""
 
     kind: str
-    field: str  # "real" | "complex"
     atoms: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.atoms.ndim != 2:
@@ -59,6 +59,10 @@ class Dictionary:
         norms = np.linalg.norm(self.atoms, axis=0)
         if norms.size and norms.max() > 1.0 + 1e-9:
             raise ValueError(f"{self.kind}: atom norms exceed one (max {norms.max():.6g})")
+
+    @property
+    def field(self) -> str:
+        return "complex" if np.iscomplexobj(self.atoms) else "real"
 
     @property
     def n_atoms(self) -> int:
@@ -100,23 +104,11 @@ def argmax_inner_product(dictionary: Dictionary, residual: np.ndarray, weakness:
 # nets of shift points
 
 
-@dataclass(frozen=True)
-class DeltaNet:
-    """A product grid on the torus with per-axis spacing at most delta."""
-
-    delta: float
-    points: np.ndarray
-
-    @classmethod
-    def build(cls, dim: int, delta: float) -> "DeltaNet":
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        count = max(1, math.ceil(TWO_PI / delta))
-        return cls(delta=TWO_PI / count, points=torus_grid([count] * dim))
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
+def delta_net(dim: int, delta: float) -> Quadrature:
+    """The tensor rule of ceil(2*pi/delta) nodes per axis: its nodes are a product grid of spacing at most delta."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    return Quadrature([max(1, math.ceil(TWO_PI / delta))] * dim)
 
 
 def choose_delta0(system: OrthonormalSystem) -> float:
@@ -141,11 +133,7 @@ def choose_delta0(system: OrthonormalSystem) -> float:
 def exponential_dict(Q: FrequencySet) -> Dictionary:
     """The complex exponentials exp(i<k,x>), k in Q, i.e. the identity matrix."""
     n = len(Q)
-    return Dictionary(
-        kind="exponentials",
-        field="complex",
-        atoms=np.eye(n, dtype=complex),
-    )
+    return Dictionary(kind="exponentials", atoms=np.eye(n, dtype=complex))
 
 
 def shifted_kernel_dict(Q: FrequencySet, points: np.ndarray | None = None) -> Dictionary:
@@ -159,11 +147,7 @@ def shifted_kernel_dict(Q: FrequencySet, points: np.ndarray | None = None) -> Di
     if points is None:
         points = grid_P(Q.max_abs).points
     atoms = Q.characters(as_points(points, Q.dim)).conj() / math.sqrt(len(Q))
-    return Dictionary(
-        kind="kernel-translates",
-        field="complex",
-        atoms=atoms,
-    )
+    return Dictionary(kind="kernel-translates", atoms=atoms)
 
 
 def kernel_shift_dict(system: OrthonormalSystem, points: np.ndarray) -> Dictionary:
@@ -173,11 +157,7 @@ def kernel_shift_dict(system: OrthonormalSystem, points: np.ndarray) -> Dictiona
     and <f, atom_y> = f(y)/sqrt(N).
     """
     atoms = system.evaluate(points).T * (1.0 / math.sqrt(system.size))
-    return Dictionary(
-        kind="kernel-shifts",
-        field="real",
-        atoms=atoms,
-    )
+    return Dictionary(kind="kernel-shifts", atoms=atoms)
 
 
 def scaled_kernel_dict(system: OrthonormalSystem, points: np.ndarray | None = None) -> Dictionary:
@@ -188,15 +168,9 @@ def scaled_kernel_dict(system: OrthonormalSystem, points: np.ndarray | None = No
     system's delta0 net.
     """
     if points is None:
-        points = DeltaNet.build(system.dim, choose_delta0(system)).points
-    scale = 1.0 / math.sqrt(system.constants.k2 * system.size)
-    atoms = system.evaluate(points).T * scale
-    return Dictionary(
-        kind="scaled-kernel-shifts",
-        field="real",
-        atoms=atoms,
-        meta={"scale": scale},
-    )
+        points = delta_net(system.dim, choose_delta0(system)).nodes
+    atoms = system.evaluate(points).T * (1.0 / math.sqrt(system.constants.k2 * system.size))
+    return Dictionary(kind="scaled-kernel-shifts", atoms=atoms)
 
 
 def scaled_basis_dict(system: OrthonormalSystem) -> Dictionary:
@@ -210,10 +184,10 @@ def scaled_basis_dict(system: OrthonormalSystem) -> Dictionary:
     atoms = np.empty((n, 2 * n))
     atoms[:, 0::2] = eye
     atoms[:, 1::2] = -eye
-    return Dictionary(kind=SCALED_BASIS, field="real", atoms=atoms, meta={"scale": scale})
+    return Dictionary(kind="scaled-basis-signed", atoms=atoms)
 
 
 def symmetrize(d: Dictionary) -> Dictionary:
     """Append the negated copy of every atom (for signed relaxed greedy)."""
     atoms = np.concatenate([d.atoms, -d.atoms], axis=1)
-    return Dictionary(kind=d.kind + "-signed", field=d.field, atoms=atoms, meta=dict(d.meta))
+    return Dictionary(kind=d.kind + "-signed", atoms=atoms)

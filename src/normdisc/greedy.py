@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dictionaries import (
-    SCALED_BASIS,
     Dictionary,
     argmax_inner_product,
     exponential_dict,
@@ -58,7 +57,6 @@ class GreedyRun:
     """Trace of one greedy solve, in ambient coefficient coordinates."""
 
     algorithm: str
-    dictionary_kind: str
     m: int
     residual_norms: np.ndarray  # length m+1, residual_norms[0] = ||target||
     selected: list[int]
@@ -111,7 +109,6 @@ def oga(target: np.ndarray, dictionary: Dictionary, steps: int, weakness: float 
     approx = target - residual
     return GreedyRun(
         algorithm="oga",
-        dictionary_kind=dictionary.kind,
         m=m,
         residual_norms=np.array(norms),
         selected=selected,
@@ -146,7 +143,6 @@ def rga(target: np.ndarray, dictionary: Dictionary, steps: int, a1_certified: bo
     bounds = np.array([rga_bound(j + 1) for j in range(m)]) if a1_certified else None
     return GreedyRun(
         algorithm="rga",
-        dictionary_kind=dictionary.kind,
         m=m,
         residual_norms=np.array(norms),
         selected=selected,
@@ -198,8 +194,7 @@ def ia(system: OrthonormalSystem, target: np.ndarray, p: float, steps: int, sche
         schedule = Schedule.for_lp(p)
     target = np.asarray(target, dtype=float)
     quad, n = system.quadrature, system.size
-    sizes = quad.tensor_sizes(system.dim)
-    cells = np.ravel_multi_index(tuple((system.freqs.array % sizes).T), sizes)  # where fftn puts each k of Q
+    cells = quad.cells(system.freqs.array)  # where fftn puts each k of Q
     E = system.basis.exp_coeffs(np.eye(n))  # column i: the exponential coefficients of u_i
     scale = 1.0 / math.sqrt(system.constants.k2)
     w = quad.weights
@@ -216,7 +211,7 @@ def ia(system: OrthonormalSystem, target: np.ndarray, p: float, steps: int, sche
         if nh < STOP_TOL * max(1.0, norms[0]):
             break
         dens = w * (a / nh) ** (p - 1.0) * np.sign(hv)
-        Fvals[0::2] = scale * (np.conj(np.fft.fftn(dens.reshape(sizes)).reshape(-1)[cells]) @ E).real
+        Fvals[0::2] = scale * (np.conj(np.fft.fftn(dens.reshape(quad.sizes)).reshape(-1)[cells]) @ E).real
         Fvals[1::2] = -Fvals[0::2]
         Ff = float(dens @ tv)
         eps = schedule.epsilon(j)
@@ -236,7 +231,6 @@ def ia(system: OrthonormalSystem, target: np.ndarray, p: float, steps: int, sche
     meta = {"p": p, "schedule": (schedule.beta, schedule.gamma, schedule.q), "sup_norms": np.array(sups)}
     return GreedyRun(
         algorithm="ia",
-        dictionary_kind=SCALED_BASIS,
         m=m,
         residual_norms=np.array(norms),
         selected=selected,
@@ -282,7 +276,7 @@ def sup_norm_sparsify(system: OrthonormalSystem, target: np.ndarray, steps: int)
     target = np.asarray(target, dtype=float)
     mass_in = math.sqrt(c.k2) * float(np.abs(target).sum())
     if mass_in < STOP_TOL:
-        run = GreedyRun("ia", SCALED_BASIS, 0, np.zeros(1), [], np.zeros(0), np.zeros_like(target))
+        run = GreedyRun("ia", 0, np.zeros(1), [], np.zeros(0), np.zeros_like(target))
         return SupSparsifyResult(run, np.zeros_like(target), 0.0, 0.0, 0.0, 0.0, p)
     run = ia(system, target / mass_in, p=p, steps=steps)
     approx = run.approximant * mass_in
@@ -327,7 +321,7 @@ def two_stage_sup_approx(system: OrthonormalSystem, target: np.ndarray, steps: i
     d = scaled_basis_dict(system)
     mass1 = math.sqrt(c.k2) * float(np.abs(target).sum())
     if mass1 < STOP_TOL:
-        run1 = GreedyRun("rga", d.kind, 0, np.zeros(1), [], np.zeros(0), np.zeros_like(target))
+        run1 = GreedyRun("rga", 0, np.zeros(1), [], np.zeros(0), np.zeros_like(target))
     else:
         run1 = rga(target / mass1, d, steps=m1, a1_certified=True)
     stage1_approx = run1.approximant * mass1

@@ -37,7 +37,6 @@ from .spaces import (
     norm_values_lp,
     poly_norm,
     sup_norm_on_grid,
-    torus_grid,
 )
 
 LOG_HUGE = 700.0  # exp beyond this overflows a double
@@ -370,7 +369,7 @@ def _deep_holes(points: np.ndarray, dim: int, count: int, record: dict | None = 
     the number of point distances the search valued.
     """
     per_axis = max(8, int(round(DEEP_HOLE_MESH ** (1.0 / dim))))
-    mesh = torus_grid([per_axis] * dim)
+    mesh = Quadrature([per_axis] * dim).nodes
     score, evaluated = _nearest_distances(points, mesh)
     if record is not None:
         record.update(mesh=len(mesh), distances=evaluated)

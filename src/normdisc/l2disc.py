@@ -145,7 +145,7 @@ def _kernel_columns(system: OrthonormalSystem):
     kernel is translation invariant, D_N(xi, x) = D_Q(x - xi), so every
     column is a cyclic shift of D_Q on the grid (one FFT), and w = N exactly.
     """
-    sizes = system.quadrature.tensor_sizes(system.dim)
+    sizes = system.quadrature.sizes
     D = dirichlet_poly(system.freqs).values_on(system.quadrature).real.reshape(sizes)
     axes = tuple(range(D.ndim))
 

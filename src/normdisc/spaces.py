@@ -9,8 +9,9 @@ certificates) is built from the small set of types defined here:
 * :class:`OrthonormalSystem` the real trigonometric system of T(Q) on its
   tensor rule,
 * :class:`PointSet`         sampling knots with optional nonnegative weights,
-* :class:`Quadrature`       product trapezoidal rules used as the reference
-  measure for every norm computed by the package.
+* :class:`Quadrature`       equal-weight product trapezoidal rules, the
+  reference measure for every norm computed by the package; a rule is its
+  per-axis sizes, and its nodes and weights are built on first read.
 
 Conventions.  All coordinates are radians in ``[0, 2*pi)`` and the reference
 measure is the *normalized* Lebesgue measure on the torus, so
@@ -33,7 +34,7 @@ TWO_PI = 2.0 * math.pi
 GRAM_BLOCK_ROWS = 4096  # rows per block of weighted_gram
 SUP_REFINE_TOP_K = 3  # grid maxima refined by Newton steps in sup_norm_on_grid
 SUP_REFINE_ITERS = 7  # iterations of that refinement, each one character table of all its trial points
-MAX_RULE_NODES = 2**24  # node cap of tensor_torus: 134 MB of weights and 134 MB of nodes per axis
+MAX_RULE_NODES = 2**24  # node cap of a Quadrature: 134 MB of weights and 134 MB of nodes per axis
 
 
 def as_points(x, dim: int) -> np.ndarray:
@@ -235,99 +236,97 @@ class PointSet:
         return cls(np.asarray(obj["points"], dtype=float), None if w is None else np.asarray(w, dtype=float))
 
 
-def torus_grid(sizes) -> np.ndarray:
-    """The (prod(sizes), d) grid of nodes 2*pi*n_j/sizes_j, rows in the C order of a ``sizes`` array."""
-    d = len(sizes)
-    out = np.empty((math.prod(sizes), d))
-    grid = out.reshape(*sizes, d)  # a view: each axis is written once, with no meshgrid copies
-    for j, s in enumerate(sizes):
-        grid[..., j] = (TWO_PI * np.arange(s) / s).reshape([-1 if i == j else 1 for i in range(d)])
-    return out
-
-
 def grid_P(n_vec) -> PointSet:
     """The exact interpolation grid x^n = (2*pi*n_j / (2*N_j + 1)) for Pi(N).
 
     Its points are the nodes of ``Quadrature.tensor_torus(N, oversample=1)``.
     """
-    n_vec = np.atleast_1d(np.asarray(n_vec, dtype=np.int64))
-    if (n_vec < 0).any():
-        raise ValueError("box sizes must be nonnegative")
     return PointSet(Quadrature.tensor_torus(n_vec, oversample=1).nodes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Quadrature:
-    """A positive cubature rule with weights summing to one.
+    """The equal-weight product trapezoidal rule of ``sizes`` nodes per axis on the torus.
 
-    The one kind the package builds (:meth:`tensor_torus`) is the tensor
-    rule: an equal-weight product trapezoidal grid of ``meta["sizes"]``
-    nodes per axis, in the C order of a ``sizes`` array.  It integrates
-    exp(i <h, x>) to 1 when h = 0 mod sizes on every axis and to 0
-    otherwise, so it integrates every product of T(Q) exactly iff
-    k -> k mod sizes is injective on Q (:func:`resolves_products`).  A
-    per-axis size above twice the maximal frequency is sufficient, not
-    necessary.  Every consumer of the sizes reads them through
-    :meth:`tensor_sizes`, which rejects a rule without them.
+    A rule is its description: ``nodes`` and ``weights`` are built on first
+    read, so a rule that only places frequencies (:meth:`cells`) holds no
+    array.  Node n sits at 2*pi*n_j/sizes_j on axis j, rows in the C order
+    of a ``sizes`` array.  The rule integrates exp(i <h, x>) to 1 when
+    h = 0 mod sizes on every axis and to 0 otherwise, so it integrates every
+    product of T(Q) exactly iff k -> k mod sizes is injective on Q
+    (:func:`resolves_products`).  A per-axis size above twice the maximal
+    frequency is sufficient, not necessary.  ``meta`` records how
+    :meth:`tensor_torus` chose the sizes.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    sizes: tuple[int, ...]
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.nodes = np.asarray(self.nodes, dtype=float)
-        if self.nodes.ndim == 1:
-            self.nodes = self.nodes.reshape(-1, 1)
-        self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
-        if self.weights.shape[0] != self.nodes.shape[0]:
-            raise ValueError("weights length does not match node count")
+        sizes = tuple(map(int, self.sizes))
+        if any(s < 1 for s in sizes):
+            raise ValueError(f"a tensor rule needs positive sizes, got {list(sizes)}")
+        if math.prod(sizes) > MAX_RULE_NODES:
+            raise ValueError(f"a tensor rule of {math.prod(sizes):,} nodes exceeds MAX_RULE_NODES = {MAX_RULE_NODES:,}")
+        object.__setattr__(self, "sizes", sizes)
 
     @property
     def size(self) -> int:
-        return self.nodes.shape[0]
+        return math.prod(self.sizes)
 
     @property
     def dim(self) -> int:
-        return self.nodes.shape[1]
+        return len(self.sizes)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """The read-only (size, dim) nodes."""
+        d = self.dim
+        out = np.empty((self.size, d))
+        grid = out.reshape(*self.sizes, d)  # a view: each axis is written once, with no meshgrid copies
+        for j, s in enumerate(self.sizes):
+            grid[..., j] = (TWO_PI * np.arange(s) / s).reshape([-1 if i == j else 1 for i in range(d)])
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        out = np.full(self.size, 1.0 / self.size)
+        out.flags.writeable = False
+        return out
 
     @classmethod
     def tensor_torus(cls, max_freqs, oversample: int = 4) -> "Quadrature":
+        """The rule of ``oversample * (2 f_j + 1)`` nodes on each axis j of maximal frequency f_j >= 0."""
         max_freqs = np.atleast_1d(np.asarray(max_freqs, dtype=np.int64))
         if oversample < 1:
             raise ValueError("oversample must be >= 1")
-        sizes = [max(1, int(oversample) * (2 * int(f) + 1)) for f in max_freqs]
-        m = math.prod(sizes)
-        if m > MAX_RULE_NODES:
-            raise ValueError(f"a tensor rule of {m:,} nodes exceeds MAX_RULE_NODES = {MAX_RULE_NODES:,}")
-        return cls(torus_grid(sizes), np.full(m, 1.0 / m), meta={"sizes": sizes, "oversample": oversample})
+        if (max_freqs < 0).any():
+            raise ValueError(f"maximal frequencies must be nonnegative, got {max_freqs.tolist()}")
+        return cls([int(oversample) * (2 * int(f) + 1) for f in max_freqs], meta={"oversample": oversample})
 
     def axis_spacing(self) -> np.ndarray:
-        return np.array([TWO_PI / s for s in self.tensor_sizes(self.dim)])
+        return TWO_PI / np.array(self.sizes)
 
-    def tensor_sizes(self, dim: int) -> list[int]:
-        sizes = self.meta.get("sizes")
-        if sizes is None:
-            raise ValueError(f"a rule of {self.size} nodes without sizes: this needs a tensor rule (meta['sizes'])")
-        if len(sizes) != dim or math.prod(sizes) != self.size:
-            raise ValueError(f"tensor rule of sizes {sizes} does not match {self.size} nodes in dimension {dim}")
-        return sizes
+    def cells(self, K: np.ndarray) -> np.ndarray:
+        """The flat index of the cell k mod sizes of each row k of the (n, dim) integer array ``K``, in node order.
+
+        It is where ``fftn`` of the rule's grid puts frequency k.
+        """
+        if K.shape[1] != self.dim:
+            raise ValueError(f"tensor rule of sizes {list(self.sizes)} does not match frequencies of dimension {K.shape[1]}")
+        return np.ravel_multi_index(tuple((K % self.sizes).T), self.sizes)
 
 
 def resolves_products(Q: FrequencySet, quad: Quadrature) -> bool:
     """True iff the tensor rule ``quad`` integrates exp(i <k - l, x>) exactly for all k, l in Q.
 
-    On an equal-weight rule with ``quad.meta["sizes"]``, the mean of
-    exp(i <h, x>) over the nodes is 1 if h = 0 mod sizes on every axis and 0
-    otherwise, so the complex Gram of Q (and the real Gram of a symmetric Q)
-    is the identity iff k -> k mod sizes is injective on Q: no rounding, and
-    O(|Q| log |Q|) instead of a product over the nodes.
+    The mean of exp(i <h, x>) over the nodes is 1 if h = 0 mod sizes on
+    every axis and 0 otherwise, so the complex Gram of Q (and the real Gram
+    of a symmetric Q) is the identity iff k -> k mod sizes is injective on
+    Q: no rounding, and O(|Q| log |Q|) instead of a product over the nodes.
     """
-    sizes = quad.tensor_sizes(Q.dim)
-    if not (quad.weights == 1.0 / quad.size).all():
-        raise ValueError("the difference-set check needs the equal weights 1/nodes")
-    # k mod sizes as the flat index of its grid cell, in the C order of values_on's grid
-    cells = np.sort(np.ravel_multi_index(tuple((Q.array % sizes).T), sizes))
+    cells = np.sort(quad.cells(Q.array))
     return bool((cells[1:] != cells[:-1]).all())
 
 
@@ -358,13 +357,11 @@ class TrigPolynomial:
         """Values at the nodes of the tensor rule ``quad``, in node order.
 
         This is an inverse FFT: each coefficient is added into the grid at
-        index ``k mod sizes``, so a rule too coarse to separate two
+        its cell ``k mod sizes``, so a rule too coarse to separate two
         frequencies stays exact.
         """
-        sizes = quad.tensor_sizes(self.support.dim)
-        grid = np.zeros(sizes, dtype=complex)
-        np.add.at(grid, tuple((self.support.array % sizes).T), self.coeffs)
-        # C order of the flattened grid is the node order of torus_grid
+        grid = np.zeros(quad.sizes, dtype=complex)
+        np.add.at(grid.reshape(-1), quad.cells(self.support.array), self.coeffs)
         return np.fft.ifftn(grid).reshape(-1) * grid.size
 
 
@@ -542,9 +539,9 @@ def weighted_gram(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
 class OrthonormalSystem:
     """The real orthonormal trigonometric system of T(Q), Q = ``basis.freqs``, on a tensor rule.
 
-    The quadrature must be an equal-weight tensor rule, and orthonormality
-    is checked exactly on the difference set, by :func:`resolves_products`,
-    so construction builds no value table, and neither does ``span_norm``.
+    Orthonormality is checked exactly on the difference set, by
+    :func:`resolves_products`, so construction builds no value table and
+    reads no node, and ``span_norm`` builds no value table either.
     Its name and constants are functions of Q.
     """
 

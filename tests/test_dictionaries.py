@@ -5,9 +5,9 @@ import pytest
 from oracles import random_trig_poly
 
 from normdisc.dictionaries import (
-    DeltaNet,
     argmax_inner_product,
     choose_delta0,
+    delta_net,
     exponential_dict,
     kernel_shift_dict,
     scaled_basis_dict,
@@ -82,15 +82,17 @@ class TestCombinators:
 
 class TestNets:
     def test_delta_net_spacing(self):
-        net = DeltaNet.build(1, 1.0)
+        net = delta_net(1, 1.0)
         assert net.size == 7
-        assert net.delta <= 1.0
-        gaps = np.diff(np.sort(net.points[:, 0]))
-        assert gaps.max() <= net.delta + 1e-12
+        spacing = net.axis_spacing()[0]
+        assert spacing <= 1.0
+        gaps = np.diff(np.sort(net.nodes[:, 0]))
+        assert gaps.max() <= spacing + 1e-12
 
     def test_delta_net_2d(self):
-        net = DeltaNet.build(2, 2.0)
+        net = delta_net(2, 2.0)
         assert net.size == 16
+        assert (net.axis_spacing() <= 2.0).all()
 
     def test_delta0_formula(self, trig7):
         k1 = math.sqrt(2) * 3 / 7
@@ -132,4 +134,4 @@ def test_atom_norm_guard():
     from normdisc.dictionaries import Dictionary
 
     with pytest.raises(ValueError):
-        Dictionary(kind="bad", field="real", atoms=np.array([[2.0]]))
+        Dictionary(kind="bad", atoms=np.array([[2.0]]))

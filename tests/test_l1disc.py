@@ -32,7 +32,6 @@ from normdisc.spaces import (
     freqset,
     grid_P,
     poly_norm,
-    torus_grid,
 )
 
 
@@ -298,7 +297,7 @@ class TestFalsifier:
         from scipy.spatial import cKDTree
 
         per_axis = max(8, int(round(DEEP_HOLE_MESH ** (1.0 / dim))))
-        mesh = torus_grid([per_axis] * dim)
+        mesh = Quadrature([per_axis] * dim).nodes
         if kind == "random":
             pts = random_l1_pointset(dim, size, seed=dim).points
         elif kind == "grid_P":

@@ -32,11 +32,8 @@ from normdisc.spaces import (
     grid_P,
     poly_norm,
     real_trig_system,
-    torus_grid,
     weighted_gram,
 )
-
-NO_SIZES = "needs a tensor rule \\(meta\\['sizes'\\]\\)"  # the message of Quadrature.tensor_sizes
 
 
 class TestFrequencySets:
@@ -307,14 +304,14 @@ class TestQuadrature:
     @pytest.mark.parametrize("sizes", [[7], [1], [36, 36], [3, 1], [12, 20, 8], [4, 1, 5]])
     def test_torus_grid_is_the_product_order_grid(self, sizes):
         axes = [2 * math.pi * np.arange(s) / s for s in sizes]
-        grid = torus_grid(sizes)
+        grid = Quadrature(sizes).nodes
         assert grid.dtype == np.float64
         assert np.array_equal(grid, np.array(list(itertools.product(*axes))))
 
     def test_torus_grid_peaks_at_its_nodes(self):
         tracemalloc.start()
         try:
-            grid = torus_grid([300, 40, 20])
+            grid = Quadrature([300, 40, 20]).nodes
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -338,17 +335,30 @@ class TestQuadrature:
         assert np.abs(weighted_gram(u, weights) - (u * weights[:, None]).T @ u).max() < 1e-12
 
     def test_node_count_is_capped(self, monkeypatch):
+        # the cap acts on the description, before any node exists
         monkeypatch.setattr(spaces, "MAX_RULE_NODES", 100)
         assert Quadrature.tensor_torus([3, 3], oversample=1).size == 49
-        monkeypatch.setattr(spaces, "torus_grid", lambda sizes: pytest.fail("nodes built past the cap"))
-        with pytest.raises(ValueError, match="tensor rule of 196 nodes exceeds MAX_RULE_NODES = 100"):
-            Quadrature.tensor_torus([3, 3], oversample=2)
+        for build in (lambda: Quadrature.tensor_torus([3, 3], oversample=2), lambda: Quadrature([14, 14])):
+            with pytest.raises(ValueError, match="tensor rule of 196 nodes exceeds MAX_RULE_NODES = 100"):
+                build()
 
+    @pytest.mark.parametrize("sizes", [[0], [3, 0], [4, -2, 5]])
+    def test_sizes_below_one_are_refused(self, sizes):
+        with pytest.raises(ValueError, match="positive sizes"):
+            Quadrature(sizes)
 
-def tensor_rule(sizes) -> Quadrature:
-    """An equal-weight tensor rule of the given sizes, as ``tensor_torus`` builds them."""
-    m = math.prod(sizes)
-    return Quadrature(torus_grid(sizes), np.full(m, 1.0 / m), meta={"sizes": list(sizes)})
+    @pytest.mark.parametrize("max_freqs", [[-3], [-1, 2]])
+    def test_negative_max_frequency_is_refused(self, max_freqs):
+        # oversample * (2 f + 1) is below 1 for f < 0; it once became a 1-node axis
+        with pytest.raises(ValueError, match="maximal frequencies must be nonnegative"):
+            Quadrature.tensor_torus(max_freqs)
+
+    def test_a_rule_holds_no_array_until_one_is_read(self):
+        quad = Quadrature.tensor_torus([20, 20, 20])
+        assert [f.name for f in dataclasses.fields(Quadrature)] == ["sizes", "meta"]
+        assert quad.sizes == (164, 164, 164) and quad.size == 164**3 and quad.dim == 3 and quad.meta == {"oversample": 4}
+        assert "nodes" not in vars(quad) and "weights" not in vars(quad)
+        assert np.array_equal(quad.axis_spacing(), np.full(3, 2 * math.pi / 164))
 
 
 def numeric_verdict(Q: FrequencySet, quad: Quadrature) -> bool:
@@ -391,36 +401,26 @@ class TestDifferenceSetExactness:
 
     @pytest.mark.parametrize("Q,sizes,exact", CASES, ids=lambda v: str(v) if isinstance(v, (list, bool)) else f"{v.dim}d-{len(v)}")
     def test_verdict_on_chosen_rules(self, Q, sizes, exact):
-        quad = tensor_rule(sizes)
+        quad = Quadrature(sizes)
         assert construction_verdict(Q, quad) is exact
         assert numeric_verdict(Q, quad) is exact
 
     @given(symmetric_set_and_sizes())
     def test_verdict_equals_the_numeric_gram_check(self, case):
         Q, sizes = case
-        quad = tensor_rule(sizes)
+        quad = Quadrature(sizes)
         assert construction_verdict(Q, quad) == numeric_verdict(Q, quad)
 
     def test_rule_that_does_not_match_is_rejected(self, rng):
-        # every entry point of a tensor rule: a rule of another dimension, and sizes that miscount the nodes
+        # every entry point of a tensor rule refuses a rule of another dimension
         Q = build_hyperbolic_cross(2, 2)
-        miscounted = tensor_rule([7, 7])
-        miscounted.meta["sizes"] = [7, 8]
         entry_points = [
             lambda quad: OrthonormalSystem(TrigBasis(Q), quad),  # resolves_products
             random_trig_poly(Q, rng).values_on,
         ]
         for entry in entry_points:
-            for quad in (tensor_rule([7, 7, 1]), miscounted):
-                with pytest.raises(ValueError, match="tensor rule of sizes .* does not match"):
-                    entry(quad)
-
-    def test_unequal_weights_are_rejected(self):
-        Q = build_hyperbolic_cross(2, 2)
-        quad = tensor_rule([7, 7])
-        quad.weights = quad.weights * np.linspace(0.5, 1.5, quad.size)
-        with pytest.raises(ValueError):
-            OrthonormalSystem(TrigBasis(Q), quad)
+            with pytest.raises(ValueError, match="tensor rule of sizes .* does not match"):
+                entry(Quadrature([7, 7, 1]))
 
 
 class TestPointSet:
@@ -473,17 +473,17 @@ class TestOrthonormalSystems:
 
     def test_grid_system(self, cross2):
         # the trig system on a uniform grid of a chosen size, not the one tensor_torus picks
-        sys = OrthonormalSystem(TrigBasis(cross2), tensor_rule([16]))
+        sys = OrthonormalSystem(TrigBasis(cross2), Quadrature([16]))
         assert sys.size == 7
         assert np.abs(christoffel(sys, sys.quadrature.nodes) - 7).max() < 1e-12
 
     def test_grid_system_too_coarse_rejected(self, cross2):
         with pytest.raises(ValueError, match="Gram"):
-            OrthonormalSystem(TrigBasis(cross2), tensor_rule([6]))  # 3 = -3 mod 6
+            OrthonormalSystem(TrigBasis(cross2), Quadrature([6]))  # 3 = -3 mod 6
 
     def test_grid_system_needs_only_distinct_residues(self):
         # 5 <= 2 * max|k| = 6, yet 0, 1, 4, 3, 2 = k mod 5 are distinct
-        sys = OrthonormalSystem(TrigBasis(freqset([(0,), (1,), (-1,), (3,), (-3,)])), tensor_rule([5]))
+        sys = OrthonormalSystem(TrigBasis(freqset([(0,), (1,), (-1,), (3,), (-3,)])), Quadrature([5]))
         assert np.abs(weighted_gram(sys.evaluate(sys.quadrature.nodes), sys.quadrature.weights) - np.eye(5)).max() <= 1e-12
 
     def test_asymmetric_rejected(self):
@@ -491,9 +491,6 @@ class TestOrthonormalSystems:
             real_trig_system(freqset([(0,), (1,)]))
 
     def test_construction_checks_gram_and_christoffel_cap(self, trig7, rng):
-        quad = Quadrature(rng.uniform(0, 2 * math.pi, size=(50, 1)), np.full(50, 1 / 50))
-        with pytest.raises(ValueError, match=NO_SIZES):
-            OrthonormalSystem(trig7.basis, quad)
         plain = OrthonormalSystem(trig7.basis, trig7.quadrature)
         assert plain.dim == 1
         # the cap t is derived, and w(x) = N t^2 holds at every point (condition D)
@@ -520,24 +517,10 @@ class TestOrthonormalSystems:
         assert np.abs(fft_table - sys.basis.evaluate(sys.quadrature.nodes)).max() <= 1e-13
 
     @pytest.mark.parametrize("sizes", [[6, 7], [7, 6], [4, 4]])
-    def test_tensor_rule_too_coarse_fails_the_gram_check(self, sizes, rng):
-        # the nodes of a rule that aliases two frequencies of the cross, without "sizes": every consumer refuses the rule
-        Q = build_hyperbolic_cross(2, 2)
-        quad = Quadrature(torus_grid(sizes), np.full(math.prod(sizes), 1.0 / math.prod(sizes)))
-        entry_points = [
-            lambda quad: OrthonormalSystem(TrigBasis(Q), quad),
-            random_trig_poly(Q, rng).values_on,
-            Quadrature.axis_spacing,
-        ]
-        for entry in entry_points:
-            with pytest.raises(ValueError, match=NO_SIZES):
-                entry(quad)
-
-    @pytest.mark.parametrize("sizes", [[6, 7], [7, 6], [4, 4]])
     def test_tensor_rule_too_coarse_fails_the_difference_set_check(self, sizes):
-        # the same rules with "sizes": max |k_j| = 3 on both axes, and each rule aliases two frequencies
+        # max |k_j| = 3 on both axes, and each rule aliases two frequencies
         with pytest.raises(ValueError, match="Gram"):
-            OrthonormalSystem(TrigBasis(build_hyperbolic_cross(2, 2)), tensor_rule(sizes))
+            OrthonormalSystem(TrigBasis(build_hyperbolic_cross(2, 2)), Quadrature(sizes))
 
     def test_trig_system_on_its_tensor_rule_skips_the_gram_product(self, monkeypatch):
         calls = []
@@ -548,23 +531,16 @@ class TestOrthonormalSystems:
         assert calls == []
 
     def test_trig_system_builds_in_memory_of_its_nodes(self):
-        # cross:6:2 has 258,064 nodes (6 MB of nodes and weights); its nodes x N table would take 1.6 GB
-        tracemalloc.start()
-        try:
-            real_trig_system(build_hyperbolic_cross(6, 2))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 50e6
-
-    def test_other_systems_keep_the_gram_product(self, trig7, monkeypatch):
-        # there is no other system: the same nodes without "sizes" are refused, with no Gram product either way
-        calls = []
-        monkeypatch.setattr(spaces, "weighted_gram", lambda *a: calls.append(a) or weighted_gram(*a))
-        with pytest.raises(ValueError, match=NO_SIZES):
-            OrthonormalSystem(trig7.basis, Quadrature(trig7.quadrature.nodes, trig7.quadrature.weights))
-        OrthonormalSystem(trig7.basis, trig7.quadrature)  # the difference-set check
-        assert calls == []
+        # the build reads no node: cross:6:2 has 258,064 nodes (6 MB of nodes and weights), cross:4:3 1.9M (61 MB),
+        # and a nodes x N table would take 1.6 GB and 5.4 GB
+        for n, dim in ((6, 2), (4, 3)):
+            tracemalloc.start()
+            try:
+                real_trig_system(build_hyperbolic_cross(n, dim))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 5e6, f"cross:{n}:{dim}"
 
     def test_constants_declared(self, trig7):
         # a system is its basis and its rule: built directly, it derives the constants and gives the results of real_trig_system
