@@ -297,12 +297,10 @@ class Quadrature:
 
     @classmethod
     def tensor_torus(cls, max_freqs, oversample: int = 4) -> "Quadrature":
-        """The rule of ``oversample * (2 f_j + 1)`` nodes on each axis j of maximal frequency f_j >= 0."""
+        """The rule of ``oversample * (2 f_j + 1)`` nodes on each axis j of maximal frequency f_j; a negative f_j is refused as a size below 1."""
         max_freqs = np.atleast_1d(np.asarray(max_freqs, dtype=np.int64))
         if oversample < 1:
             raise ValueError("oversample must be >= 1")
-        if (max_freqs < 0).any():
-            raise ValueError(f"maximal frequencies must be nonnegative, got {max_freqs.tolist()}")
         return cls([int(oversample) * (2 * int(f) + 1) for f in max_freqs], meta={"oversample": oversample})
 
     def axis_spacing(self) -> np.ndarray:
